@@ -6,13 +6,19 @@ least once).  Every repetition must reach the same decision digest, and
 each is checked for consistency before its numbers count.
 
 Untraced runs give the end-to-end metrics: ``events_per_s`` (median over
-repetitions of arrivals decided per host second of the loop),
-``place_p50_ms`` and ``place_p99_ms`` (nearest-rank percentiles of every
-placer ``place()`` call, pooled over repetitions; when fewer than 10
-samples lie beyond p99 the highest percentile with 10 beyond it is
-reported and named) and ``bw_rejected_pct`` (the simulated share of
-offered bandwidth rejected; exact for a seed).  Traced runs give the
-per-layer metrics, averaged per repetition.
+repetitions of arrivals decided per host CPU second of the loop's one
+thread), ``place_p50_ms`` and ``place_p99_ms`` (nearest-rank percentiles
+of the CPU time of every placer ``place()`` call, pooled over
+repetitions; when fewer than 10 samples lie beyond p99 the highest
+percentile with 10 beyond it is reported and named) and
+``bw_rejected_pct`` (the simulated share of offered bandwidth rejected;
+exact for a seed).  Traced runs give the per-layer metrics, averaged per
+repetition; span times are wall-clock.
+
+The loop is single-threaded, CPU-bound and does no I/O, so its thread
+CPU time equals its wall time on an idle host; on a shared virtual
+machine it leaves out the time the hypervisor runs other guests, which
+otherwise shows up as multi-millisecond stalls in the tail.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ import contextlib
 import gc
 import resource
 import statistics
-from time import perf_counter
+from time import perf_counter, thread_time
 
 from perfbench.checks import (
     consistency_errors,
@@ -123,7 +129,7 @@ LAYER_METRICS = _layer_metrics()
 
 
 def _layer_values(recorder: SpanRecorder, probe: Probe, counters: dict,
-                  arrivals: int, elapsed: float) -> dict[str, float]:
+                  arrivals: int, wall: float, cpu: float) -> dict[str, float]:
     stats = recorder.stats
     counts = recorder.counts
     calls = recorder.calls
@@ -161,7 +167,7 @@ def _layer_values(recorder: SpanRecorder, probe: Probe, counters: dict,
         values[f"kernels.{name}.ms"] = self_ms(f"kernels.{name}")
     values.update(
         {
-            "simulation.self_ms": (elapsed - recorder.root_s) * 1e3,
+            "simulation.self_ms": (wall - recorder.root_s) * 1e3,
             "simulation.gate_rejects": arrivals - placer_calls,
             "simulation.util_sweep_ms": self_ms("simulation.util_sweep"),
             "simulation.wcs_ms": self_ms("simulation.wcs"),
@@ -172,7 +178,7 @@ def _layer_values(recorder: SpanRecorder, probe: Probe, counters: dict,
     )
     for name in OBS_COUNTERS:
         values[f"obs.{name}"] = counters.get(name, 0)
-    values["trace.events_per_s"] = arrivals / elapsed
+    values["trace.events_per_s"] = arrivals / cpu
     values["trace.spans"] = sum(entry[0] for entry in stats.values())
     return values
 
@@ -216,9 +222,10 @@ def run(prepared: Prepared, *, seconds: float, traced: bool, trace_path=None) ->
                 counters.clear()
                 events = recorder.arrivals(events)
             gc.collect()
-            t0 = perf_counter()
+            t0, c0 = perf_counter(), thread_time()
             outcome = instance.run(events)
-            elapsed = perf_counter() - t0
+            cpu = thread_time() - c0
+            wall = perf_counter() - t0
             reps += 1
             arrivals = outcome["arrivals"]
             attempted += arrivals
@@ -238,11 +245,11 @@ def run(prepared: Prepared, *, seconds: float, traced: bool, trace_path=None) ->
             digests.append(
                 decision_digest(instance.decisions, ledger_fingerprint(instance.ledger))
             )
-            rates.append(arrivals / elapsed)
+            rates.append(arrivals / cpu)
             latencies += probe.latencies
             bw_pcts.append(outcome["bw_rejected_pct"])
             if traced:
-                values = _layer_values(recorder, probe, counters, arrivals, elapsed)
+                values = _layer_values(recorder, probe, counters, arrivals, wall, cpu)
                 for name, value in values.items():
                     layer_sums[name] = layer_sums.get(name, 0.0) + value
                 for name, value in counters.items():

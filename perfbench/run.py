@@ -24,16 +24,22 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
-from time import perf_counter
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 OUT = ROOT / ".bench_build" / "perfbench"
 SETUP_REPEATS = 5
+
+# One thread per workload process: numpy's BLAS pool would otherwise
+# start worker threads at import, whose spinning shows in CPU time.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
 
 sys.path.insert(0, str(ROOT))
 
@@ -73,11 +79,11 @@ def _load_program(workload) -> None:
 
 
 def _setup_seconds(workload, seed: int) -> list[float]:
-    """Host time from process start to the first arrival, per fresh process.
+    """CPU time from process start to the first arrival, per fresh process.
 
     Each probe is a new interpreter that imports the program, builds the
-    workload's inputs and state, reports ``ready`` and exits; the time
-    runs from spawning it to reading that line.
+    workload's inputs and state, reports ``ready`` with the CPU time it
+    has used since it started (interpreter start-up included) and exits.
     """
     times = []
     command = [
@@ -88,18 +94,11 @@ def _setup_seconds(workload, seed: int) -> list[float]:
         "--setup-probe",
     ]
     for _ in range(SETUP_REPEATS):
-        started = perf_counter()
-        proc = subprocess.Popen(command, stdout=subprocess.PIPE, text=True, cwd=ROOT)
-        try:
-            line = proc.stdout.readline()
-            ready = perf_counter() - started
-            proc.stdout.read()
-        finally:
-            proc.stdout.close()
-            code = proc.wait(timeout=120)
-        if line.strip() != "ready" or code != 0:
-            _fail(1, f"set-up probe failed (exit {code}, said {line!r})")
-        times.append(ready)
+        proc = subprocess.run(command, capture_output=True, text=True, cwd=ROOT, timeout=120)
+        said = proc.stdout.split()
+        if proc.returncode != 0 or len(said) != 2 or said[0] != "ready":
+            _fail(1, f"set-up probe failed (exit {proc.returncode}): {proc.stderr}")
+        times.append(float(said[1]))
     return times
 
 
@@ -159,7 +158,7 @@ def run_one(args) -> int:
 
     if args.setup_probe:
         instantiate(prepare(workload, seed), Probe())
-        print("ready", flush=True)
+        print("ready", time.process_time(), flush=True)
         return 0
     traced = bool(args.trace)
     setup = None if traced else _setup_seconds(workload, seed)

@@ -10,9 +10,10 @@ exit.
 Two levels:
 
 * :class:`Probe` — always installed, also in the measured (untraced)
-  runs: times each placer ``place()`` call, records its outcome and
-  the live allocations, and counts departures.  Its cost is one clock
-  pair per placer call and one dict operation per admission/departure.
+  runs: times each placer ``place()`` call in thread CPU time, records
+  its outcome and the live allocations, and counts departures.  Its
+  cost is one clock pair (~1 us) per placer call and one dict operation
+  per admission/departure.
 * :class:`SpanRecorder` — traced runs only: one span (name, start, end,
   parent span, arrival id) per wrapped call, with exclusive ("self")
   time computed online from a stack, so aggregates are exact however
@@ -22,7 +23,7 @@ Two levels:
 from __future__ import annotations
 
 import json
-from time import perf_counter
+from time import perf_counter, thread_time
 from typing import Callable, Iterable, Iterator
 
 __all__ = [
@@ -99,17 +100,17 @@ class Probe:
         for cls in _placer_classes():
 
             def place(placer, tag, _orig=cls.place):
-                t0 = perf_counter()
+                t0 = thread_time()
                 try:
                     result = _orig(placer, tag)
                 except Exception as exc:  # a failed arrival, not a crash
-                    probe.latencies.append(perf_counter() - t0)
+                    probe.latencies.append(thread_time() - t0)
                     probe.failed += 1
                     if probe.first_error is None:
                         probe.first_error = repr(exc)
                     probe.accepts.append(False)
                     return Rejection(tag, f"placer raised {exc!r}")
-                probe.latencies.append(perf_counter() - t0)
+                probe.latencies.append(thread_time() - t0)
                 accepted = isinstance(result, Placement)
                 probe.accepts.append(accepted)
                 if accepted:

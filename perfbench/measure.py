@@ -12,8 +12,10 @@ of the CPU time of every placer ``place()`` call, pooled over
 repetitions; when fewer than 10 samples lie beyond p99 the highest
 percentile with 10 beyond it is reported and named) and
 ``bw_rejected_pct`` (the simulated share of offered bandwidth rejected;
-exact for a seed).  Traced runs give the per-layer metrics, averaged per
-repetition; span times are wall-clock.
+exact for a seed).  The three timings are in reference seconds (see
+:mod:`perfbench.calibrate`); the raw host values sit in the detail.
+Traced runs give the per-layer metrics, averaged per repetition; span
+times are raw wall-clock.
 
 The loop is single-threaded, CPU-bound and does no I/O, so its thread
 CPU time equals its wall time on an idle host; on a shared virtual
@@ -29,6 +31,7 @@ import resource
 import statistics
 from time import perf_counter, thread_time
 
+from perfbench.calibrate import REFERENCE_CALL_S, call_seconds
 from perfbench.checks import (
     consistency_errors,
     decision_digest,
@@ -198,7 +201,10 @@ def run(prepared: Prepared, *, seconds: float, traced: bool, trace_path=None) ->
     errors: list[str] = []
     digests: list[str] = []
     rates: list[float] = []
+    raw_rates: list[float] = []
     latencies: list[float] = []
+    raw_latencies: list[float] = []
+    references: list[float] = []
     bw_pcts: list[float] = []
     layer_sums: dict[str, float] = {}
     extra_counters: dict[str, int] = {}
@@ -212,6 +218,8 @@ def run(prepared: Prepared, *, seconds: float, traced: bool, trace_path=None) ->
         elif obs.enabled():
             raise RuntimeError("repro.obs counters are on in an untraced run")
         started = perf_counter()
+        reference = call_seconds()
+        references.append(reference)
         while reps == 0 or perf_counter() - started < seconds:
             probe.reset()
             instance = instantiate(prepared, probe)
@@ -226,6 +234,12 @@ def run(prepared: Prepared, *, seconds: float, traced: bool, trace_path=None) ->
             outcome = instance.run(events)
             cpu = thread_time() - c0
             wall = perf_counter() - t0
+            # Host speed around this repetition: the reference calls
+            # measured just before and just after it.
+            after = call_seconds()
+            references.append(after)
+            scale = REFERENCE_CALL_S / ((reference + after) / 2)
+            reference = after
             reps += 1
             arrivals = outcome["arrivals"]
             attempted += arrivals
@@ -245,11 +259,13 @@ def run(prepared: Prepared, *, seconds: float, traced: bool, trace_path=None) ->
             digests.append(
                 decision_digest(instance.decisions, ledger_fingerprint(instance.ledger))
             )
-            rates.append(arrivals / cpu)
-            latencies += probe.latencies
+            rates.append(arrivals / (cpu * scale))
+            raw_rates.append(arrivals / cpu)
+            latencies += [seconds * scale for seconds in probe.latencies]
+            raw_latencies += probe.latencies
             bw_pcts.append(outcome["bw_rejected_pct"])
             if traced:
-                values = _layer_values(recorder, probe, counters, arrivals, wall, cpu)
+                values = _layer_values(recorder, probe, counters, arrivals, wall, cpu * scale)
                 for name, value in values.items():
                     layer_sums[name] = layer_sums.get(name, 0.0) + value
                 for name, value in counters.items():
@@ -272,6 +288,7 @@ def run(prepared: Prepared, *, seconds: float, traced: bool, trace_path=None) ->
         "reps": reps,
         "arrivals_per_rep": workload.arrivals,
         "digest": digests[0],
+        "reference_call_ms": statistics.median(references) * 1e3,
     }
     if traced:
         metrics = {name: layer_sums[name] / reps for name, *_ in LAYER_METRICS}
@@ -283,6 +300,7 @@ def run(prepared: Prepared, *, seconds: float, traced: bool, trace_path=None) ->
             detail["chrome_trace"] = str(trace_path)
     else:
         latencies.sort()
+        raw_latencies.sort()
         tail = tail_percentile(len(latencies))
         if tail is None:
             raise RuntimeError(f"only {len(latencies)} place() calls; need more than 10")
@@ -296,6 +314,11 @@ def run(prepared: Prepared, *, seconds: float, traced: bool, trace_path=None) ->
         detail["place_calls"] = len(latencies)
         detail["tail_percentile"] = tail
         detail["place_max_ms"] = latencies[-1] * 1e3
+        detail["raw"] = {
+            "events_per_s": statistics.median(raw_rates),
+            "place_p50_ms": percentile(raw_latencies, 50) * 1e3,
+            "place_p99_ms": percentile(raw_latencies, tail) * 1e3,
+        }
     return {
         "metrics": metrics,
         "detail": detail,

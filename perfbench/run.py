@@ -43,6 +43,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 sys.path.insert(0, str(ROOT))
 
+from perfbench.calibrate import REFERENCE_CALL_S  # noqa: E402
 from perfbench.workloads import WORKLOADS  # noqa: E402
 
 
@@ -83,7 +84,9 @@ def _setup_seconds(workload, seed: int) -> list[float]:
 
     Each probe is a new interpreter that imports the program, builds the
     workload's inputs and state, reports ``ready`` with the CPU time it
-    has used since it started (interpreter start-up included) and exits.
+    has used since it started (interpreter start-up included) and the
+    host's reference-call time, and exits.  Returned in reference
+    seconds (see :mod:`perfbench.calibrate`).
     """
     times = []
     command = [
@@ -96,9 +99,10 @@ def _setup_seconds(workload, seed: int) -> list[float]:
     for _ in range(SETUP_REPEATS):
         proc = subprocess.run(command, capture_output=True, text=True, cwd=ROOT, timeout=120)
         said = proc.stdout.split()
-        if proc.returncode != 0 or len(said) != 2 or said[0] != "ready":
+        if proc.returncode != 0 or len(said) != 3 or said[0] != "ready":
             _fail(1, f"set-up probe failed (exit {proc.returncode}): {proc.stderr}")
-        times.append(float(said[1]))
+        setup, reference = float(said[1]), float(said[2])
+        times.append(setup * REFERENCE_CALL_S / reference)
     return times
 
 
@@ -127,6 +131,9 @@ def _print_single(result: dict, traced: bool, setup: list[float] | None) -> None
             ),
             "setup_s": f"median of {len(setup or ())} set-ups",
         }
+        raw = detail["raw"]
+        for name in raw:
+            notes[name] = f"{notes.get(name, '')} (raw {raw[name]:.4f})".strip()
         for name, unit, _ in END_TO_END:
             print(f"  {name:16s} {metrics[name]:>14.4f} {unit:4s} {notes.get(name, '')}")
     for error in result["errors"]:
@@ -153,12 +160,14 @@ def run_one(args) -> int:
     seed = workload.default_seed if args.seed is None else args.seed
     _load_program(workload)
     from perfbench import measure
+    from perfbench.calibrate import call_seconds
     from perfbench.tracer import Probe
     from perfbench.workloads import instantiate, prepare
 
     if args.setup_probe:
         instantiate(prepare(workload, seed), Probe())
-        print("ready", time.process_time(), flush=True)
+        setup = time.process_time()
+        print("ready", setup, call_seconds(), flush=True)
         return 0
     traced = bool(args.trace)
     setup = None if traced else _setup_seconds(workload, seed)

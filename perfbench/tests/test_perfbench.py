@@ -175,6 +175,19 @@ def test_consistency_check_catches_a_flipped_decision():
     assert checks.consistency_errors(decisions=instance.decisions[:-1], **state)
 
 
+def test_timings_are_scaled_to_reference_seconds(monkeypatch):
+    from perfbench.calibrate import REFERENCE_CALL_S
+
+    # A host twice as slow as the reference one: its raw times halve.
+    monkeypatch.setattr(measure, "call_seconds", lambda: 2 * REFERENCE_CALL_S)
+    result = measure.run(prepare(_small("toy-gate-overload", arrivals=2000), 1),
+                         seconds=0, traced=False)
+    metrics, raw = result["metrics"], result["detail"]["raw"]
+    assert metrics["events_per_s"] == pytest.approx(2 * raw["events_per_s"])
+    assert metrics["place_p50_ms"] == pytest.approx(raw["place_p50_ms"] / 2)
+    assert metrics["place_p99_ms"] == pytest.approx(raw["place_p99_ms"] / 2)
+
+
 def test_recorded_digest_is_enforced_at_the_default_seed():
     workload = _small("toy-gate-overload", arrivals=2000)
     seed = workload.default_seed

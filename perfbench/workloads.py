@@ -75,7 +75,7 @@ WORKLOADS: dict[str, Workload] = {
             digest="f688235a6e5ef3bb785bd41d6a745c68845127262351378aa2c64e92a15ddeff",
             stresses=(
                 "CloudMirror's deep search (trial place + rollback) past the "
-                "fill transient; the driver is under 1%"
+                "fill transient; the loop itself is under 1%"
             ),
         ),
         Workload(
@@ -131,7 +131,7 @@ WORKLOADS: dict[str, Workload] = {
             default_seed=7,
             digest="da50e6380a81d66df1a643466f977a80ba7b1fcd8eef6841524f51e08d63a833",
             stresses=(
-                "the root free-slot gate and the ServiceLoop driver: ~95% of "
+                "the root free-slot gate and the ServiceLoop itself: ~95% of "
                 "arrivals rejected without a placer call"
             ),
         ),
@@ -197,7 +197,7 @@ class Instance:
 
 
 def instantiate(prepared: Prepared, probe) -> Instance:
-    """Ledger, placer (with its candidate index) and loop driver."""
+    """Ledger, placer (with its candidate index) and the loop to run."""
     from repro.simulation.runner import make_placer
     from repro.topology.ledger import Ledger
 

@@ -7,11 +7,12 @@ not at ToR/aggregation.
 
 from __future__ import annotations
 
+from repro.engine import Engine
 from repro.experiments import fig01_survey
 
 
 def test_fig1_survey(run_once):
-    result = run_once(fig01_survey.run)
+    result = fig01_survey.to_result(run_once(Engine().run, fig01_survey.SCENARIO))
     result.workload_rows.show()
     result.datacenter_rows.show()
     assert result.interactive_median > result.batch_median

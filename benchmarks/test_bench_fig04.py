@@ -10,11 +10,14 @@ from __future__ import annotations
 
 import pytest
 
+from repro.engine import Engine
 from repro.experiments import fig04_hose_failure
 
 
 def test_fig4_hose_failure(run_once):
-    outcomes = run_once(fig04_hose_failure.run)
+    outcomes = fig04_hose_failure.to_outcomes(
+        run_once(Engine().run, fig04_hose_failure.SCENARIO)
+    )
     fig04_hose_failure.to_table(outcomes).show()
     assert outcomes["tag"].web_to_logic == pytest.approx(500.0)
     assert outcomes["tag"].db_to_logic == pytest.approx(100.0)

@@ -9,16 +9,15 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.engine import Engine
 from repro.experiments import fig07_bmax_sweep
 
 
 def test_fig7_bmax_sweep(run_once, bench_pods, bench_arrivals):
-    points = run_once(
-        fig07_bmax_sweep.run,
-        pods=bench_pods,
-        arrivals=bench_arrivals,
-        seed=0,
+    scenario = fig07_bmax_sweep.SCENARIO.override(
+        pods=bench_pods, arrivals=bench_arrivals, seeds=(0,)
     )
+    points = fig07_bmax_sweep.points(run_once(Engine().run, scenario))
     fig07_bmax_sweep.to_table(points).show()
 
     def series(load, algorithm):

@@ -9,13 +9,15 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.engine import Engine
 from repro.experiments import fig08_load_sweep
 
 
 def test_fig8_load_sweep(run_once, bench_pods, bench_arrivals):
-    points = run_once(
-        fig08_load_sweep.run, pods=bench_pods, arrivals=bench_arrivals, seed=0
+    scenario = fig08_load_sweep.SCENARIO.override(
+        pods=bench_pods, arrivals=bench_arrivals, seeds=(0,)
     )
+    points = fig08_load_sweep.points(run_once(Engine().run, scenario))
     fig08_load_sweep.to_table(points).show()
     cm = [p.metrics.bw_rejection_rate for p in points if p.algorithm == "cm"]
     ovoc = [p.metrics.bw_rejection_rate for p in points if p.algorithm == "ovoc"]

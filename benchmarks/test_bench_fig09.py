@@ -8,16 +8,15 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.engine import Engine
 from repro.experiments import fig09_oversub_sweep
 
 
 def test_fig9_oversubscription(run_once, bench_pods, bench_arrivals):
-    points = run_once(
-        fig09_oversub_sweep.run,
-        pods=bench_pods,
-        arrivals=bench_arrivals,
-        seed=0,
+    scenario = fig09_oversub_sweep.SCENARIO.override(
+        pods=bench_pods, arrivals=bench_arrivals, seeds=(0,)
     )
+    points = fig09_oversub_sweep.points(run_once(Engine().run, scenario))
     fig09_oversub_sweep.to_table(points).show()
     cm = {
         p.oversubscription: p.metrics.bw_rejection_rate

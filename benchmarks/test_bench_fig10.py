@@ -8,13 +8,15 @@ paper's, because best-fit subtree search already localizes tenants.
 
 from __future__ import annotations
 
+from repro.engine import Engine
 from repro.experiments import fig10_ablation
 
 
 def test_fig10_ablation(run_once, bench_pods, bench_arrivals):
-    points = run_once(
-        fig10_ablation.run, pods=bench_pods, arrivals=bench_arrivals, seed=0
+    scenario = fig10_ablation.SCENARIO.override(
+        pods=bench_pods, arrivals=bench_arrivals, seeds=(0,)
     )
+    points = fig10_ablation.points(run_once(Engine().run, scenario))
     fig10_ablation.to_table(points).show()
     rates = {p.variant: p.metrics.bw_rejection_rate for p in points}
     assert rates["cm"] <= rates["cm-coloc-only"] + 1e-9

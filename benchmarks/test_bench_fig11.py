@@ -8,16 +8,15 @@ bottleneck at the server level).
 
 from __future__ import annotations
 
+from repro.engine import Engine
 from repro.experiments import fig11_wcs_guarantee
 
 
 def test_fig11_wcs_guarantee(run_once, bench_pods, bench_arrivals):
-    points = run_once(
-        fig11_wcs_guarantee.run,
-        pods=bench_pods,
-        arrivals=bench_arrivals,
-        seed=0,
+    scenario = fig11_wcs_guarantee.SCENARIO.override(
+        pods=bench_pods, arrivals=bench_arrivals, seeds=(0,)
     )
+    points = fig11_wcs_guarantee.points(run_once(Engine().run, scenario))
     fig11_wcs_guarantee.to_table(points).show()
     for p in points:
         if p.required_wcs > 0 and p.algorithm == "cm":

@@ -8,16 +8,15 @@ disappears at favourable B_max.
 
 from __future__ import annotations
 
+from repro.engine import Engine
 from repro.experiments import fig12_opportunistic_ha
 
 
 def test_fig12_ha_mechanisms(run_once, bench_pods, bench_arrivals):
-    points = run_once(
-        fig12_opportunistic_ha.run,
-        pods=bench_pods,
-        arrivals=bench_arrivals,
-        seed=0,
+    scenario = fig12_opportunistic_ha.SCENARIO.override(
+        pods=bench_pods, arrivals=bench_arrivals, seeds=(0,)
     )
+    points = fig12_opportunistic_ha.points(run_once(Engine().run, scenario))
     fig12_opportunistic_ha.to_table(points).show()
     by_mode = {}
     for p in points:

@@ -10,11 +10,13 @@ from __future__ import annotations
 
 import pytest
 
+from repro.engine import Engine
 from repro.experiments import fig13_enforcement
 
 
 def test_fig13_enforcement(run_once):
-    result = run_once(fig13_enforcement.run, max_senders=5)
+    scenario = fig13_enforcement.SCENARIO.override(xs=range(6))
+    result = fig13_enforcement.to_result(run_once(Engine().run, scenario))
     fig13_enforcement.to_table(result).show()
     for point in result.tag_points:
         assert point.x_to_z >= 450.0 - 1e-6

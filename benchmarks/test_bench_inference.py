@@ -8,13 +8,20 @@ imperfect" finding.
 
 from __future__ import annotations
 
+from repro.engine import Engine
 from repro.experiments import inference_ami
 
 
 def test_inference_ami(run_once):
-    result = run_once(
-        inference_ami.run, max_vms=120, max_applications=25, seed=0
+    scenario = inference_ami.SCENARIO.override(
+        seeds=(0,),
+        params=(
+            ("max_applications", 25),
+            ("max_vms", 120),
+            ("noise_fraction", 0.05),
+        ),
     )
+    (result,) = inference_ami.to_results(run_once(Engine().run, scenario))
     inference_ami.to_table(result).show()
     assert result.applications >= 10
     # Substantial commonality (well above chance), but imperfect

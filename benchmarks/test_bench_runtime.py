@@ -7,6 +7,7 @@ pipe placement (SecondNet) is dramatically slower and scales far worse.
 
 from __future__ import annotations
 
+from repro.engine import Engine
 from repro.experiments import runtime_scaling
 from repro.placement.cloudmirror import CloudMirrorPlacer
 from repro.placement.oktopus import OktopusPlacer
@@ -16,7 +17,8 @@ from repro.workloads.patterns import three_tier
 
 
 def test_runtime_table(run_once, bench_pods):
-    points = run_once(runtime_scaling.run, pods=bench_pods)
+    scenario = runtime_scaling.SCENARIO.override(pods=bench_pods)
+    points = runtime_scaling.points(run_once(Engine().run, scenario))
     runtime_scaling.to_table(points).show()
     cm = {p.vms: p.seconds for p in points if p.algorithm == "cm"}
     sn = {p.vms: p.seconds for p in points if p.algorithm == "secondnet"}

@@ -13,13 +13,20 @@ the most at the aggregation level.
 
 from __future__ import annotations
 
+from repro.engine import Engine
 from repro.experiments import table1_reserved_bw
 
 
-def test_table1_reserved_bandwidth(run_once, bench_pods):
-    result = run_once(
-        table1_reserved_bw.run, workload="bing", pods=bench_pods, seed=1
+def _table1(run_once, pool, pods, seed):
+    scenario = table1_reserved_bw.SCENARIO.override(
+        pool=pool, pods=pods, seeds=(seed,)
     )
+    (result,) = table1_reserved_bw.to_results(run_once(Engine().run, scenario))
+    return result
+
+
+def test_table1_reserved_bandwidth(run_once, bench_pods):
+    result = _table1(run_once, "bing", bench_pods, seed=1)
     result.table.show()
     reserved = result.reserved
     for level in ("server", "tor", "agg"):
@@ -36,9 +43,7 @@ def test_table1_reserved_bandwidth(run_once, bench_pods):
 
 def test_table1_synthetic_workload(run_once, bench_pods):
     """§5.1: the synthetic mixed workload "yielded results similar"."""
-    result = run_once(
-        table1_reserved_bw.run, workload="synthetic", pods=bench_pods, seed=2
-    )
+    result = _table1(run_once, "synthetic", bench_pods, seed=2)
     result.table.show()
     reserved = result.reserved
     for level in ("server", "tor", "agg"):
@@ -46,9 +51,7 @@ def test_table1_synthetic_workload(run_once, bench_pods):
 
 
 def test_table1_hpcloud_workload(run_once, bench_pods):
-    result = run_once(
-        table1_reserved_bw.run, workload="hpcloud", pods=bench_pods, seed=3
-    )
+    result = _table1(run_once, "hpcloud", bench_pods, seed=3)
     result.table.show()
     reserved = result.reserved
     for level in ("server", "tor", "agg"):

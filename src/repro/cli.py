@@ -11,22 +11,32 @@
     repro run fig08 --telemetry --store runs.sqlite  # persist obs data
     repro results list runs.sqlite   # inspect / aggregate stored runs
     repro trace export --store runs.sqlite -o trace.json  # Chrome trace
+    repro run fig13 --xs 0,1,2       # x-axis override (sender counts)
+    repro run table1 --pool hpcloud  # tenant-pool override
+    repro run inference --param max_vms=40   # declared-param override
     repro profile fig08 --trials 2   # cProfile + obs counter summary
+    repro profile service --arrivals 2000    # profile takes run's overrides
     repro version                    # package + kernel backend diagnostics
     repro -v run fig08               # INFO logging (-vv DEBUG, -q errors)
     repro fig08 --pods 1             # shorthand for "run fig08 --pods 1"
 
 ``run`` accepts grid overrides (``--seeds``, ``--loads``, ``--bmax``,
 ``--placers``, ``--pods``, ``--arrivals``) that rewrite the registered
-scenario's axes — plus ``--load-profile {poisson,diurnal}`` for the
-service kind's arrival shape — plus ``--jobs N`` to execute the trial matrix over N
+scenario's axes, and three overrides of fields a scenario may declare:
+``--xs 0,1,2`` (the x-axis, read as the scenario's own x type),
+``--pool hpcloud`` (the tenant pool) and ``--param KEY=VALUE`` (one of
+its declared ``params``, read as the declared type — e.g. ``repro run
+service --param cohort=1 --param load_profile=diurnal``).  A flag the
+scenario would ignore exits 2.  ``repro profile`` takes the same
+overrides.  ``--jobs N`` executes the trial matrix over N
 worker processes (``--jobs 0`` = one per CPU; default: ``os.cpu_count()``
 capped at 8, serial for wall-clock kinds).  ``--store PATH`` makes the
 run persistent: already-computed trials are served from the store and
 fresh ones are recorded as they finish, so an interrupted run resumes.
 ``--shard i/n`` runs one deterministic stride of the matrix; combine
-per-shard stores with ``repro results merge``.  The legacy
-``repro-experiment <name>`` spelling keeps working via the shorthand.
+per-shard stores with ``repro results merge``.  ``repro <name> ...`` and
+the legacy ``repro-experiment <name> ...`` are both ``repro run <name>
+...``.
 
 Observability: leading ``-v``/``-q`` flags (before the subcommand)
 configure stdlib logging for the ``repro.*`` hierarchy.  ``run`` takes
@@ -42,10 +52,19 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.engine import Engine, Scenario, Variant, default_jobs, kind_axes, registry
+from repro.engine import (
+    POOL_NAMES,
+    Engine,
+    RegisteredScenario,
+    Scenario,
+    Variant,
+    default_jobs,
+    kind_axes,
+    registry,
+)
 from repro.errors import EngineError, ReproError
 
-__all__ = ["main"]
+__all__ = ["UsageError", "add_override_arguments", "main", "resolve_scenario"]
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -107,11 +126,40 @@ def _version() -> int:
     return 0
 
 
+def add_override_arguments(parser: argparse.ArgumentParser) -> None:
+    """The scenario name plus every grid override ``run`` and ``profile`` take."""
+    parser.add_argument("name", help="scenario name or alias (see 'repro list')")
+    parser.add_argument("--seeds", type=_int_list, help="seed grid, e.g. 0,1,2")
+    parser.add_argument("--loads", type=_float_list, help="load grid, e.g. 0.5,0.9")
+    parser.add_argument("--bmax", type=_float_list, help="B_max grid, e.g. 400,800")
+    parser.add_argument(
+        "--placers", type=_str_list, help="placer variants, e.g. cm,ovoc,secondnet"
+    )
+    parser.add_argument("--pods", type=int, help="datacenter pods")
+    parser.add_argument("--arrivals", type=int, help="tenant arrivals per trial")
+    parser.add_argument(
+        "--xs",
+        type=_str_list,
+        help="x-axis points, read as the scenario's own x type: failed "
+        "fractions (failure), sender counts (fig13), window counts "
+        "(temporal), tenant sizes (runtime); e.g. 0,1,2",
+    )
+    parser.add_argument("--pool", choices=POOL_NAMES, help="tenant pool")
+    parser.add_argument(
+        "--param",
+        action="append",
+        default=[],
+        metavar="KEY=VALUE",
+        help="set one of the scenario's declared params, read as the "
+        "declared type, e.g. cohort=1 or load_profile=diurnal (repeatable)",
+    )
+
+
 def _build_run_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro run", description="run one registered scenario"
     )
-    parser.add_argument("name", help="scenario name or alias (see 'repro list')")
+    add_override_arguments(parser)
     parser.add_argument(
         "--jobs",
         type=int,
@@ -127,21 +175,6 @@ def _build_run_parser() -> argparse.ArgumentParser:
         "--shard",
         help="run one stride i/n of the trial matrix (e.g. 0/2); "
         "requires --store",
-    )
-    parser.add_argument("--seeds", type=_int_list, help="seed grid, e.g. 0,1,2")
-    parser.add_argument("--loads", type=_float_list, help="load grid, e.g. 0.5,0.9")
-    parser.add_argument("--bmax", type=_float_list, help="B_max grid, e.g. 400,800")
-    parser.add_argument(
-        "--placers", type=_str_list, help="placer variants, e.g. cm,ovoc,secondnet"
-    )
-    parser.add_argument("--pods", type=int, help="datacenter pods")
-    parser.add_argument("--arrivals", type=int, help="tenant arrivals per trial")
-    parser.add_argument(
-        "--load-profile",
-        choices=("poisson", "diurnal"),
-        default=None,
-        help="arrival shape for service-kind scenarios: flat Poisson "
-        "rate or a cyclic day/night profile",
     )
     parser.add_argument(
         "--progress",
@@ -159,6 +192,10 @@ def _build_run_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class UsageError(Exception):
+    """An override the scenario cannot take (the CLI exits 2)."""
+
+
 # CLI flag -> the scenario grid axis it overrides.
 _FLAG_AXES = (
     ("seeds", "seeds"),
@@ -170,30 +207,56 @@ _FLAG_AXES = (
 )
 
 
-def _unsupported_flags(scenario: Scenario, args: argparse.Namespace) -> list[str]:
-    """Overrides the scenario's kind would silently ignore."""
+def _coerce(kind: type, text: str, what: str):
+    try:
+        return kind(text)
+    except ValueError:
+        raise UsageError(f"{what}: expected {kind.__name__}, got {text!r}") from None
+
+
+def _apply_overrides(scenario: Scenario, args: argparse.Namespace) -> Scenario:
+    """``scenario`` with the parsed overrides applied.
+
+    Raises :class:`UsageError` for a flag the scenario would silently
+    ignore — a grid axis its kind does not consume, ``--xs`` or
+    ``--pool`` on a scenario without that field — and for a ``--param``
+    key the scenario does not declare or a value of the wrong type.
+    """
     supported = kind_axes(scenario.kind)
-    flags = [
+    unsupported = [
         f"--{flag}"
         for flag, axis in _FLAG_AXES
         if getattr(args, flag) is not None and axis not in supported
     ]
-    # Not a grid axis: the arrival shape is a service-runner param, so
-    # it rides on params rather than _FLAG_AXES.
-    if args.load_profile is not None and scenario.kind != "service":
-        flags.append("--load-profile")
-    return flags
-
-
-def _apply_overrides(scenario: Scenario, args: argparse.Namespace) -> Scenario:
+    if args.xs is not None and scenario.xs == (None,):
+        unsupported.append("--xs")
+    if args.pool is not None and not scenario.pool:
+        unsupported.append("--pool")
+    if unsupported:
+        raise UsageError(
+            f"{', '.join(unsupported)} would have no effect on "
+            f"{scenario.name!r} (kind {scenario.kind!r})"
+        )
+    xs = None
+    if args.xs is not None:
+        kind = type(scenario.xs[0])
+        xs = tuple(_coerce(kind, part, "--xs") for part in args.xs)
+    declared = dict(scenario.params)
+    values = {}
+    for item in args.param:
+        key, sep, text = item.partition("=")
+        if not sep or key not in declared:
+            known = ", ".join(declared) or "none"
+            raise UsageError(
+                f"--param {item!r}: {scenario.name!r} declares params: {known}"
+            )
+        values[key] = _coerce(type(declared[key]), text, f"--param {key}")
+    params = None
+    if values:
+        params = tuple((key, values.get(key, old)) for key, old in scenario.params)
     variants = None
     if args.placers:
         variants = tuple(Variant(name) for name in args.placers)
-    params = None
-    if args.load_profile is not None:
-        merged = dict(scenario.params)
-        merged["load_profile"] = args.load_profile
-        params = tuple(sorted(merged.items()))
     return scenario.override(
         seeds=args.seeds,
         loads=args.loads,
@@ -201,31 +264,42 @@ def _apply_overrides(scenario: Scenario, args: argparse.Namespace) -> Scenario:
         variants=variants,
         pods=args.pods,
         arrivals=args.arrivals,
+        xs=xs,
+        pool=args.pool,
         params=params,
     )
+
+
+def resolve_scenario(args: argparse.Namespace) -> tuple[RegisteredScenario, Scenario]:
+    """The registry entry ``args.name`` names, and its overridden scenario.
+
+    Raises :class:`UsageError` for an unknown name or an override the
+    scenario cannot take, and a :class:`~repro.errors.ReproError` for an
+    override the scenario rejects (an empty axis, say).
+    """
+    try:
+        entry = registry.get(args.name)
+    except EngineError as error:
+        raise UsageError(str(error)) from None
+    return entry, _apply_overrides(entry.scenario, args)
 
 
 def _run(argv: list[str]) -> int:
     args = _build_run_parser().parse_args(argv)
     try:
-        entry = registry.get(args.name)
-    except EngineError as error:
-        print(error)
+        entry, scenario = resolve_scenario(args)
+    except UsageError as error:
+        print(f"error: {error}")
         return 2
-    unsupported = _unsupported_flags(entry.scenario, args)
-    if unsupported:
-        print(
-            f"error: {', '.join(unsupported)} would have no effect on "
-            f"{entry.scenario.name!r} (kind {entry.scenario.kind!r})"
-        )
-        return 2
+    except ReproError as error:
+        print(f"error: {error}")
+        return 1
     if args.shard is not None and args.store is None:
         print("error: --shard needs --store (a shard's results must be "
               "persisted to be merged)")
         return 2
     store = shard = None
     try:
-        scenario = _apply_overrides(entry.scenario, args)
         jobs = args.jobs if args.jobs is not None else default_jobs(scenario.kind)
         if args.store is not None:
             from repro.results import ResultStore, parse_shard
@@ -273,35 +347,11 @@ def _run(argv: list[str]) -> int:
     return 0
 
 
-def _shorthand(name: str, rest: list[str]) -> int:
-    """``repro <name> [flags]``: the experiment's own CLI.
-
-    Unlike ``repro run`` (the generic grid interface), this dispatches
-    to the experiment module's ``main``, which understands its
-    experiment-specific flags (``--workload``, ``--max-senders``, ...) —
-    the legacy ``repro-experiment`` behaviour.
-    """
-    try:
-        entry = registry.get(name)
-    except EngineError as error:
-        print(error)
-        return 2
-    if entry.cli is None:
-        return _run([name, *rest])
-    try:
-        entry.cli(rest)
-    except ReproError as error:
-        print(f"error: {error}")
-        return 1
-    return 0
-
-
 def _strip_verbosity(argv: list[str]) -> tuple[list[str], int]:
     """Consume leading ``-v``/``-q`` flags (before the subcommand).
 
     Only the leading position is global — ``repro run fig08 -v`` is left
-    for the subcommand parser to reject, so experiment CLIs that define
-    their own ``-v`` keep working.
+    for the subcommand parser to reject.
     """
     verbosity = 0
     while argv:
@@ -347,7 +397,7 @@ def main(argv: list[str] | None = None) -> int:
             from repro.obs.profile import profile_main
 
             return profile_main(argv[1:])
-        return _shorthand(argv[0], argv[1:])
+        return _run(argv)  # shorthand: repro <name> ... == repro run <name> ...
     except BrokenPipeError:
         # Piped into head/less that exited: not an error.  Detach stdout
         # so the interpreter's shutdown flush doesn't raise again.

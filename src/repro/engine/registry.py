@@ -5,7 +5,9 @@ anything else that wants "every experiment in the repo") calls
 :func:`load_all` to trigger those imports, then looks scenarios up by
 canonical name or alias.  Presenters render a finished
 :class:`~repro.engine.scenario.ScenarioResult` to stdout — the engine
-itself never prints.
+itself never prints.  A registered scenario is the one way to run an
+experiment: ``repro run <name>`` applies the command-line overrides to
+it and hands the engine's result to its presenter.
 """
 
 from __future__ import annotations
@@ -23,17 +25,11 @@ Presenter = Callable[[ScenarioResult], None]
 
 @dataclass(frozen=True)
 class RegisteredScenario:
-    """One registry row: the default scenario plus its renderer.
-
-    ``cli`` is the experiment's own ``main(argv)`` — it understands the
-    experiment-specific flags (``--workload``, ``--max-senders``, ...)
-    that the generic ``repro run`` grid interface does not.
-    """
+    """One registry row: the default scenario plus its renderer."""
 
     scenario: Scenario
     present: Presenter
     aliases: tuple[str, ...] = ()
-    cli: Callable[[list[str]], None] | None = None
 
     @property
     def name(self) -> str:
@@ -49,14 +45,13 @@ def register(
     present: Presenter,
     *,
     aliases: tuple[str, ...] = (),
-    cli: Callable[[list[str]], None] | None = None,
 ) -> RegisteredScenario:
     """Register ``scenario`` under its canonical name (plus aliases).
 
     Re-registering the same name replaces the entry (supports module
     reloads); an alias may not shadow a different scenario's name.
     """
-    entry = RegisteredScenario(scenario, present, aliases, cli)
+    entry = RegisteredScenario(scenario, present, aliases)
     if _ALIASES.get(scenario.name, scenario.name) != scenario.name:
         raise EngineError(
             f"scenario name {scenario.name!r} collides with an alias of "

@@ -345,7 +345,7 @@ KIND_AXES: dict[str, frozenset[str]] = {
     # (load, pool scaling, placer, topology size, seeds) is meaningful.
     "failure": _ALL_AXES,
     # The streaming loop consumes every generic axis; arrival shape and
-    # cohort size ride on params (--load-profile and scenario overrides).
+    # cohort size ride on params (repro run --param load_profile=...).
     "service": _ALL_AXES,
     "survey": frozenset(),
 }

@@ -9,18 +9,17 @@ lose their guarantee; the sweep measures how many survive, how many can
 be re-placed on the degraded fabric, the VM churn that re-placement
 costs, and the wall-clock time to recover.
 
-The x-axis is the failed-server fraction (``--fractions``); the variant
+The x-axis is the failed-server fraction (``--xs``); the variant
 axis compares how each placement algorithm's colocation choices shape
 the blast radius.
 """
 
 from __future__ import annotations
 
-from repro.engine import Engine, Scenario, ScenarioResult, Variant, registry
-from repro.experiments._cli import CliOption, scenario_main
+from repro.engine import Scenario, ScenarioResult, Variant, registry
 from repro.experiments._table import Table
 
-__all__ = ["run", "main", "SCENARIO", "DEFAULT_FRACTIONS"]
+__all__ = ["SCENARIO", "present", "to_table", "DEFAULT_FRACTIONS"]
 
 DEFAULT_FRACTIONS = (0.02, 0.05, 0.1, 0.2)
 
@@ -37,29 +36,6 @@ SCENARIO = Scenario(
     # fraction; hetero=1 places on the mixed-rack variant of the spec.
     params=(("switches", 1), ("links", 1), ("hetero", 1)),
 )
-
-
-def run(
-    *,
-    fractions: tuple[float, ...] = DEFAULT_FRACTIONS,
-    load: float = 0.7,
-    arrivals: int = 400,
-    pods: int | None = None,
-    seed: int = 0,
-    algorithms: tuple[str, ...] = ("cm", "ovoc", "secondnet"),
-    hetero: bool = True,
-    n_jobs: int = 1,
-) -> ScenarioResult:
-    scenario = SCENARIO.override(
-        xs=fractions,
-        loads=(load,),
-        arrivals=arrivals,
-        pods=pods,
-        seeds=(seed,),
-        variants=tuple(Variant(a) for a in algorithms),
-        params=(("switches", 1), ("links", 1), ("hetero", int(hetero))),
-    )
-    return Engine(n_jobs=n_jobs).run(scenario)
 
 
 def to_table(result: ScenarioResult) -> Table:
@@ -103,26 +79,4 @@ def present(result: ScenarioResult) -> None:
         print(f"{name}: worst-case guarantee survival {rate:.0%}")
 
 
-main = scenario_main(
-    SCENARIO,
-    __doc__,
-    present,
-    options=(
-        CliOption(
-            "--fractions",
-            str,
-            ",".join(str(x) for x in DEFAULT_FRACTIONS),
-            "comma-separated failed-server fractions on the x-axis",
-            lambda scenario, value: scenario.override(
-                xs=tuple(
-                    float(part) for part in value.split(",") if part.strip()
-                )
-            ),
-        ),
-    ),
-)
-
-registry.register(SCENARIO, present, aliases=("failures",), cli=main)
-
-if __name__ == "__main__":
-    main()
+registry.register(SCENARIO, present, aliases=("failures",))

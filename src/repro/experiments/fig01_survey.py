@@ -9,11 +9,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.engine import Engine, Scenario, ScenarioResult, Variant, registry
-from repro.experiments._cli import scenario_main
+from repro.engine import Scenario, ScenarioResult, Variant, registry
 from repro.experiments._table import Table
 
-__all__ = ["run", "Fig1Result", "main", "SCENARIO"]
+__all__ = ["Fig1Result", "SCENARIO", "present", "to_result"]
 
 SCENARIO = Scenario(
     name="fig01",
@@ -35,7 +34,7 @@ class Fig1Result:
     agg_ratios: list[float]
 
 
-def _to_result(result: ScenarioResult) -> Fig1Result:
+def to_result(result: ScenarioResult) -> Fig1Result:
     (trial_result,) = result.results
     payload = trial_result.payload
 
@@ -68,12 +67,8 @@ def _to_result(result: ScenarioResult) -> Fig1Result:
     )
 
 
-def run(*, n_jobs: int = 1) -> Fig1Result:
-    return _to_result(Engine(n_jobs=n_jobs).run(SCENARIO))
-
-
 def present(result: ScenarioResult) -> None:
-    fig1 = _to_result(result)
+    fig1 = to_result(result)
     fig1.workload_rows.show()
     fig1.datacenter_rows.show()
     print(
@@ -86,9 +81,4 @@ def present(result: ScenarioResult) -> None:
     )
 
 
-main = scenario_main(SCENARIO, __doc__, present)
-
-registry.register(SCENARIO, present, aliases=("fig1",), cli=main)
-
-if __name__ == "__main__":
-    main()
+registry.register(SCENARIO, present, aliases=("fig1",))

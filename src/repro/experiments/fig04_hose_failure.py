@@ -9,12 +9,11 @@ guarantees separate.
 
 from __future__ import annotations
 
-from repro.engine import Engine, Scenario, ScenarioResult, Variant, registry
+from repro.engine import Scenario, ScenarioResult, Variant, registry
 from repro.enforcement.scenarios import Fig4Outcome
-from repro.experiments._cli import scenario_main
 from repro.experiments._table import Table
 
-__all__ = ["run", "main", "SCENARIO"]
+__all__ = ["SCENARIO", "present", "to_outcomes", "to_table"]
 
 SCENARIO = Scenario(
     name="fig04",
@@ -25,13 +24,8 @@ SCENARIO = Scenario(
 )
 
 
-def _to_outcomes(result: ScenarioResult) -> dict[str, Fig4Outcome]:
+def to_outcomes(result: ScenarioResult) -> dict[str, Fig4Outcome]:
     return {r.trial.variant.name: r.payload for r in result}
-
-
-def run(*, n_jobs: int = 1, **kwargs) -> dict[str, Fig4Outcome]:
-    scenario = SCENARIO.override(params=tuple(sorted(kwargs.items())))
-    return _to_outcomes(Engine(n_jobs=n_jobs).run(scenario))
 
 
 def to_table(outcomes: dict[str, Fig4Outcome]) -> Table:
@@ -50,12 +44,7 @@ def to_table(outcomes: dict[str, Fig4Outcome]) -> Table:
 
 
 def present(result: ScenarioResult) -> None:
-    to_table(_to_outcomes(result)).show()
+    to_table(to_outcomes(result)).show()
 
 
-main = scenario_main(SCENARIO, __doc__, present)
-
-registry.register(SCENARIO, present, aliases=("fig4",), cli=main)
-
-if __name__ == "__main__":
-    main()
+registry.register(SCENARIO, present, aliases=("fig4",))

@@ -11,12 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.engine import Engine, Scenario, ScenarioResult, Variant, registry
-from repro.experiments._cli import scenario_main
+from repro.engine import Scenario, ScenarioResult, Variant, registry
 from repro.experiments._table import Table
 from repro.simulation.metrics import RunMetrics
 
-__all__ = ["run", "main", "SCENARIO", "DEFAULT_BMAX_VALUES"]
+__all__ = ["points", "present", "to_table", "SCENARIO", "DEFAULT_BMAX_VALUES"]
 
 DEFAULT_BMAX_VALUES = (400.0, 600.0, 800.0, 1000.0, 1200.0)
 
@@ -38,32 +37,11 @@ class SweepPoint:
     metrics: RunMetrics
 
 
-def _points(result: ScenarioResult) -> list[SweepPoint]:
+def points(result: ScenarioResult) -> list[SweepPoint]:
     return [
         SweepPoint(r.trial.bmax, r.trial.load, r.trial.variant.name, r.payload)
         for r in result
     ]
-
-
-def run(
-    *,
-    loads: tuple[float, ...] = (0.5, 0.9),
-    bmax_values: tuple[float, ...] = DEFAULT_BMAX_VALUES,
-    pods: int = 2,
-    arrivals: int = 600,
-    seed: int = 0,
-    algorithms: tuple[str, ...] = ("cm", "ovoc"),
-    n_jobs: int = 1,
-) -> list[SweepPoint]:
-    scenario = SCENARIO.override(
-        loads=loads,
-        bmaxes=bmax_values,
-        pods=pods,
-        arrivals=arrivals,
-        seeds=(seed,),
-        variants=tuple(Variant(a) for a in algorithms),
-    )
-    return _points(Engine(n_jobs=n_jobs).run(scenario))
 
 
 def to_table(points: list[SweepPoint]) -> Table:
@@ -84,7 +62,7 @@ def to_table(points: list[SweepPoint]) -> Table:
 
 
 def present(result: ScenarioResult) -> None:
-    to_table(_points(result)).show()
+    to_table(points(result)).show()
     # Seed-replicated grids additionally get mean ± bootstrap CI rows.
     from repro.results.present import seed_replicated_summary
 
@@ -95,9 +73,4 @@ def present(result: ScenarioResult) -> None:
         print(summary)
 
 
-main = scenario_main(SCENARIO, __doc__, present)
-
-registry.register(SCENARIO, present, aliases=("fig7",), cli=main)
-
-if __name__ == "__main__":
-    main()
+registry.register(SCENARIO, present, aliases=("fig7",))

@@ -8,12 +8,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.engine import Engine, Scenario, ScenarioResult, Variant, registry
-from repro.experiments._cli import scenario_main
+from repro.engine import Scenario, ScenarioResult, Variant, registry
 from repro.experiments._table import Table
 from repro.simulation.metrics import RunMetrics
 
-__all__ = ["run", "main", "SCENARIO", "DEFAULT_LOADS"]
+__all__ = ["points", "present", "to_chart", "to_table", "SCENARIO", "DEFAULT_LOADS"]
 
 DEFAULT_LOADS = (0.1, 0.3, 0.5, 0.7, 0.9)
 
@@ -34,31 +33,10 @@ class LoadPoint:
     metrics: RunMetrics
 
 
-def _points(result: ScenarioResult) -> list[LoadPoint]:
+def points(result: ScenarioResult) -> list[LoadPoint]:
     return [
         LoadPoint(r.trial.load, r.trial.variant.name, r.payload) for r in result
     ]
-
-
-def run(
-    *,
-    loads: tuple[float, ...] = DEFAULT_LOADS,
-    bmax: float = 800.0,
-    pods: int = 2,
-    arrivals: int = 600,
-    seed: int = 0,
-    algorithms: tuple[str, ...] = ("cm", "ovoc"),
-    n_jobs: int = 1,
-) -> list[LoadPoint]:
-    scenario = SCENARIO.override(
-        loads=loads,
-        bmaxes=(bmax,),
-        pods=pods,
-        arrivals=arrivals,
-        seeds=(seed,),
-        variants=tuple(Variant(a) for a in algorithms),
-    )
-    return _points(Engine(n_jobs=n_jobs).run(scenario))
 
 
 def to_table(points: list[LoadPoint]) -> Table:
@@ -92,9 +70,9 @@ def to_chart(points: list[LoadPoint]) -> str:
 
 
 def present(result: ScenarioResult) -> None:
-    points = _points(result)
-    to_table(points).show()
-    print(to_chart(points))
+    sweep = points(result)
+    to_table(sweep).show()
+    print(to_chart(sweep))
     # Seed-replicated grids additionally get mean ± bootstrap CI rows
     # and a banded chart.
     from repro.results.present import seed_replicated_summary
@@ -106,9 +84,4 @@ def present(result: ScenarioResult) -> None:
         print(summary)
 
 
-main = scenario_main(SCENARIO, __doc__, present)
-
-registry.register(SCENARIO, present, aliases=("fig8",), cli=main)
-
-if __name__ == "__main__":
-    main()
+registry.register(SCENARIO, present, aliases=("fig8",))

@@ -10,13 +10,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.engine import Engine, Scenario, ScenarioResult, TopologyCase, Variant, registry
-from repro.experiments._cli import scenario_main
+from repro.engine import Scenario, ScenarioResult, TopologyCase, Variant, registry
 from repro.experiments._table import Table
 from repro.simulation.metrics import RunMetrics
 from repro.topology.builder import DatacenterSpec
 
-__all__ = ["run", "main", "SCENARIO", "DEFAULT_OVERSUB"]
+__all__ = ["points", "present", "to_table", "SCENARIO", "DEFAULT_OVERSUB"]
 
 # total -> (tor_oversub, agg_oversub)
 DEFAULT_OVERSUB = {16: (4.0, 4.0), 32: (4.0, 8.0), 64: (8.0, 8.0), 128: (8.0, 16.0)}
@@ -51,7 +50,7 @@ class OversubPoint:
     metrics: RunMetrics
 
 
-def _points(result: ScenarioResult) -> list[OversubPoint]:
+def points(result: ScenarioResult) -> list[OversubPoint]:
     return [
         OversubPoint(
             int(r.trial.topology.spec.total_oversubscription),
@@ -60,28 +59,6 @@ def _points(result: ScenarioResult) -> list[OversubPoint]:
         )
         for r in result
     ]
-
-
-def run(
-    *,
-    oversubscriptions: dict[int, tuple[float, float]] | None = None,
-    load: float = 0.9,
-    bmax: float = 800.0,
-    pods: int = 2,
-    arrivals: int = 600,
-    seed: int = 0,
-    algorithms: tuple[str, ...] = ("cm", "ovoc"),
-    n_jobs: int = 1,
-) -> list[OversubPoint]:
-    scenario = SCENARIO.override(
-        topologies=_topology_cases(oversubscriptions or DEFAULT_OVERSUB, pods),
-        loads=(load,),
-        bmaxes=(bmax,),
-        arrivals=arrivals,
-        seeds=(seed,),
-        variants=tuple(Variant(a) for a in algorithms),
-    )
-    return _points(Engine(n_jobs=n_jobs).run(scenario))
 
 
 def to_table(points: list[OversubPoint]) -> Table:
@@ -99,12 +76,7 @@ def to_table(points: list[OversubPoint]) -> Table:
 
 
 def present(result: ScenarioResult) -> None:
-    to_table(_points(result)).show()
+    to_table(points(result)).show()
 
 
-main = scenario_main(SCENARIO, __doc__, present)
-
-registry.register(SCENARIO, present, aliases=("fig9",), cli=main)
-
-if __name__ == "__main__":
-    main()
+registry.register(SCENARIO, present, aliases=("fig9",))

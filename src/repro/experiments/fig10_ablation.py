@@ -10,12 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.engine import Engine, Scenario, ScenarioResult, Variant, registry
-from repro.experiments._cli import scenario_main
+from repro.engine import Scenario, ScenarioResult, Variant, registry
 from repro.experiments._table import Table
 from repro.simulation.metrics import RunMetrics
 
-__all__ = ["run", "main", "SCENARIO", "VARIANTS"]
+__all__ = ["points", "present", "to_chart", "to_table", "SCENARIO", "VARIANTS"]
 
 VARIANTS = ("cm", "cm-coloc-only", "cm-balance-only", "ovoc")
 _LABELS = {
@@ -42,7 +41,7 @@ class AblationPoint:
     metrics: RunMetrics
 
 
-def _points(result: ScenarioResult) -> list[AblationPoint]:
+def points(result: ScenarioResult) -> list[AblationPoint]:
     return [
         AblationPoint(
             r.trial.variant.name,
@@ -51,25 +50,6 @@ def _points(result: ScenarioResult) -> list[AblationPoint]:
         )
         for r in result
     ]
-
-
-def run(
-    *,
-    load: float = 0.8,
-    bmax: float = 800.0,
-    pods: int = 2,
-    arrivals: int = 600,
-    seed: int = 0,
-    n_jobs: int = 1,
-) -> list[AblationPoint]:
-    scenario = SCENARIO.override(
-        loads=(load,),
-        bmaxes=(bmax,),
-        pods=pods,
-        arrivals=arrivals,
-        seeds=(seed,),
-    )
-    return _points(Engine(n_jobs=n_jobs).run(scenario))
 
 
 def to_table(points: list[AblationPoint]) -> Table:
@@ -97,14 +77,9 @@ def to_chart(points: list[AblationPoint]) -> str:
 
 
 def present(result: ScenarioResult) -> None:
-    points = _points(result)
-    to_table(points).show()
-    print(to_chart(points))
+    sweep = points(result)
+    to_table(sweep).show()
+    print(to_chart(sweep))
 
 
-main = scenario_main(SCENARIO, __doc__, present)
-
-registry.register(SCENARIO, present, cli=main)
-
-if __name__ == "__main__":
-    main()
+registry.register(SCENARIO, present)

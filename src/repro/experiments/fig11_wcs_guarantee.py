@@ -11,13 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.engine import Engine, Scenario, ScenarioResult, Variant, registry
-from repro.experiments._cli import scenario_main
+from repro.engine import Scenario, ScenarioResult, Variant, registry
 from repro.experiments._table import Table
 from repro.placement.ha import HaPolicy
 from repro.simulation.metrics import RunMetrics
 
-__all__ = ["run", "main", "SCENARIO", "DEFAULT_RWCS"]
+__all__ = ["points", "present", "to_table", "SCENARIO", "DEFAULT_RWCS"]
 
 DEFAULT_RWCS = (0.0, 0.25, 0.5, 0.75)
 
@@ -55,7 +54,7 @@ class WcsPoint:
     metrics: RunMetrics
 
 
-def _points(result: ScenarioResult) -> list[WcsPoint]:
+def points(result: ScenarioResult) -> list[WcsPoint]:
     return [
         WcsPoint(
             r.trial.variant.ha.required_wcs if r.trial.variant.ha else 0.0,
@@ -64,30 +63,6 @@ def _points(result: ScenarioResult) -> list[WcsPoint]:
         )
         for r in result
     ]
-
-
-def run(
-    *,
-    required_values: tuple[float, ...] = DEFAULT_RWCS,
-    load: float = 0.7,
-    bmax: float = 800.0,
-    pods: int = 2,
-    arrivals: int = 600,
-    seed: int = 0,
-    laa_level: int = 0,
-    algorithms: tuple[str, ...] = ("cm", "ovoc"),
-    n_jobs: int = 1,
-) -> list[WcsPoint]:
-    scenario = SCENARIO.override(
-        variants=_variants(tuple(required_values), tuple(algorithms), laa_level),
-        loads=(load,),
-        bmaxes=(bmax,),
-        pods=pods,
-        arrivals=arrivals,
-        seeds=(seed,),
-        laa_level=laa_level,
-    )
-    return _points(Engine(n_jobs=n_jobs).run(scenario))
 
 
 def to_table(points: list[WcsPoint]) -> Table:
@@ -116,12 +91,7 @@ def to_table(points: list[WcsPoint]) -> Table:
 
 
 def present(result: ScenarioResult) -> None:
-    to_table(_points(result)).show()
+    to_table(points(result)).show()
 
 
-main = scenario_main(SCENARIO, __doc__, present)
-
-registry.register(SCENARIO, present, cli=main)
-
-if __name__ == "__main__":
-    main()
+registry.register(SCENARIO, present)

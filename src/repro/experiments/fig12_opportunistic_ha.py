@@ -10,13 +10,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.engine import Engine, Scenario, ScenarioResult, Variant, registry
-from repro.experiments._cli import scenario_main
+from repro.engine import Scenario, ScenarioResult, Variant, registry
 from repro.experiments._table import Table
 from repro.placement.ha import HaPolicy
 from repro.simulation.metrics import RunMetrics
 
-__all__ = ["run", "main", "SCENARIO", "MODES"]
+__all__ = ["points", "present", "to_table", "SCENARIO", "MODES"]
 
 MODES = ("cm", "cm+ha", "cm+oppha")
 
@@ -43,29 +42,10 @@ class HaPoint:
     metrics: RunMetrics
 
 
-def _points(result: ScenarioResult) -> list[HaPoint]:
+def points(result: ScenarioResult) -> list[HaPoint]:
     return [
         HaPoint(r.trial.bmax, r.trial.variant.name, r.payload) for r in result
     ]
-
-
-def run(
-    *,
-    bmax_values: tuple[float, ...] = (400.0, 800.0, 1200.0),
-    load: float = 0.7,
-    pods: int = 2,
-    arrivals: int = 600,
-    seed: int = 0,
-    n_jobs: int = 1,
-) -> list[HaPoint]:
-    scenario = SCENARIO.override(
-        bmaxes=bmax_values,
-        loads=(load,),
-        pods=pods,
-        arrivals=arrivals,
-        seeds=(seed,),
-    )
-    return _points(Engine(n_jobs=n_jobs).run(scenario))
 
 
 def to_table(points: list[HaPoint]) -> Table:
@@ -86,12 +66,7 @@ def to_table(points: list[HaPoint]) -> Table:
 
 
 def present(result: ScenarioResult) -> None:
-    to_table(_points(result)).show()
+    to_table(points(result)).show()
 
 
-main = scenario_main(SCENARIO, __doc__, present)
-
-registry.register(SCENARIO, present, cli=main)
-
-if __name__ == "__main__":
-    main()
+registry.register(SCENARIO, present)

@@ -12,12 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import zip_longest
 
-from repro.engine import Engine, Scenario, ScenarioResult, Variant, registry
+from repro.engine import Scenario, ScenarioResult, Variant, registry
 from repro.enforcement.scenarios import Fig13Point
-from repro.experiments._cli import CliOption, scenario_main
 from repro.experiments._table import Table
 
-__all__ = ["run", "main", "SCENARIO"]
+__all__ = ["SCENARIO", "Fig13Result", "present", "to_chart", "to_result", "to_table"]
 
 SCENARIO = Scenario(
     name="fig13",
@@ -37,26 +36,12 @@ class Fig13Result:
     guarantee: float
 
 
-def _to_result(result: ScenarioResult) -> Fig13Result:
+def to_result(result: ScenarioResult) -> Fig13Result:
     return Fig13Result(
         tag_points=[r.payload for r in result.by_variant("tag")],
         hose_points=[r.payload for r in result.by_variant("hose")],
         guarantee=result.scenario.param("guarantee", 450.0),
     )
-
-
-def run(
-    *,
-    max_senders: int = 5,
-    guarantee: float = 450.0,
-    bottleneck: float = 1000.0,
-    n_jobs: int = 1,
-) -> Fig13Result:
-    scenario = SCENARIO.override(
-        xs=tuple(range(max_senders + 1)),
-        params=(("bottleneck", bottleneck), ("guarantee", guarantee)),
-    )
-    return _to_result(Engine(n_jobs=n_jobs).run(scenario))
 
 
 def to_table(result: Fig13Result) -> Table:
@@ -95,7 +80,7 @@ def to_chart(result: Fig13Result) -> str:
 
 
 def present(result: ScenarioResult) -> None:
-    fig13 = _to_result(result)
+    fig13 = to_result(result)
     to_table(fig13).show()
     print(to_chart(fig13))
     print(
@@ -104,22 +89,4 @@ def present(result: ScenarioResult) -> None:
     )
 
 
-main = scenario_main(
-    SCENARIO,
-    __doc__,
-    present,
-    options=(
-        CliOption(
-            "--max-senders",
-            int,
-            5,
-            "largest C2 sender count on the x-axis",
-            lambda scenario, value: scenario.override(xs=tuple(range(value + 1))),
-        ),
-    ),
-)
-
-registry.register(SCENARIO, present, cli=main)
-
-if __name__ == "__main__":
-    main()
+registry.register(SCENARIO, present)

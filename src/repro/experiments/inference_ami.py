@@ -16,11 +16,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.engine import Engine, Scenario, ScenarioResult, Variant, registry
-from repro.experiments._cli import CliOption, scenario_main
+from repro.engine import Scenario, ScenarioResult, Variant, registry
 from repro.experiments._table import Table
 
-__all__ = ["run", "main", "SCENARIO"]
+__all__ = ["SCENARIO", "InferenceResult", "present", "to_results", "to_table"]
 
 SCENARIO = Scenario(
     name="inference",
@@ -28,6 +27,10 @@ SCENARIO = Scenario(
     kind="inference",
     pool="bing",
     variants=(Variant("louvain"),),
+    # Infer every pool application small enough to afford: the
+    # projection graph is O(VMs^2), so max_vms bounds per-application
+    # cost (the paper's 80 apps include 700-VM giants that need the same
+    # pipeline but minutes of compute).
     params=(("max_applications", 20), ("max_vms", 60), ("noise_fraction", 0.05)),
 )
 
@@ -39,39 +42,16 @@ class InferenceResult:
     applications: int
 
 
-def _to_result(trial_result) -> InferenceResult:
-    payload = trial_result.payload
-    return InferenceResult(
-        scores=payload["scores"],
-        mean=payload["mean"],
-        applications=payload["applications"],
-    )
-
-
-def run(
-    *,
-    max_vms: int = 60,
-    max_applications: int = 20,
-    noise_fraction: float = 0.05,
-    seed: int = 0,
-    n_jobs: int = 1,
-) -> InferenceResult:
-    """Infer components for every pool application small enough to afford.
-
-    The projection graph is O(VMs^2); ``max_vms`` bounds per-application
-    cost (the paper's 80 apps include 700-VM giants that need the same
-    pipeline but minutes of compute).
-    """
-    scenario = SCENARIO.override(
-        seeds=(seed,),
-        params=(
-            ("max_applications", max_applications),
-            ("max_vms", max_vms),
-            ("noise_fraction", noise_fraction),
-        ),
-    )
-    (trial_result,) = Engine(n_jobs=n_jobs).run(scenario).results
-    return _to_result(trial_result)
+def to_results(result: ScenarioResult) -> list[InferenceResult]:
+    """One :class:`InferenceResult` per seed."""
+    return [
+        InferenceResult(
+            scores=r.payload["scores"],
+            mean=r.payload["mean"],
+            applications=r.payload["applications"],
+        )
+        for r in result
+    ]
 
 
 def to_table(result: InferenceResult) -> Table:
@@ -89,37 +69,8 @@ def to_table(result: InferenceResult) -> Table:
 
 def present(result: ScenarioResult) -> None:
     # One table per seed (the CLI allows --seeds sweeps).
-    for trial_result in result:
-        to_table(_to_result(trial_result)).show()
+    for inference in to_results(result):
+        to_table(inference).show()
 
 
-def _set_param(key: str):
-    def apply(scenario: Scenario, value):
-        params = tuple(
-            (name, value if name == key else old) for name, old in scenario.params
-        )
-        return scenario.override(params=params)
-
-    return apply
-
-
-main = scenario_main(
-    SCENARIO,
-    __doc__,
-    present,
-    options=(
-        CliOption("--max-vms", int, 60, "per-application VM bound", _set_param("max_vms")),
-        CliOption(
-            "--max-applications",
-            int,
-            20,
-            "number of pool applications to infer",
-            _set_param("max_applications"),
-        ),
-    ),
-)
-
-registry.register(SCENARIO, present, cli=main)
-
-if __name__ == "__main__":
-    main()
+registry.register(SCENARIO, present)

@@ -11,11 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.engine import Engine, Scenario, ScenarioResult, Variant, registry
-from repro.experiments._cli import scenario_main
+from repro.engine import Scenario, ScenarioResult, Variant, registry
 from repro.experiments._table import Table
 
-__all__ = ["run", "main", "SCENARIO", "DEFAULT_SIZES"]
+__all__ = ["points", "present", "to_table", "SCENARIO", "DEFAULT_SIZES"]
 
 DEFAULT_SIZES = (25, 100, 400, 1000)
 
@@ -37,7 +36,7 @@ class RuntimePoint:
     placed: bool
 
 
-def _points(result: ScenarioResult) -> list[RuntimePoint]:
+def points(result: ScenarioResult) -> list[RuntimePoint]:
     return [
         RuntimePoint(
             int(r.trial.x),
@@ -48,23 +47,6 @@ def _points(result: ScenarioResult) -> list[RuntimePoint]:
         for r in result
         if r.payload is not None  # secondnet skipped above its size cap
     ]
-
-
-def run(
-    *,
-    sizes: tuple[int, ...] = DEFAULT_SIZES,
-    pods: int = 2,
-    algorithms: tuple[str, ...] = ("cm", "ovoc", "secondnet"),
-    secondnet_size_cap: int = 120,
-    n_jobs: int = 1,
-) -> list[RuntimePoint]:
-    scenario = SCENARIO.override(
-        xs=sizes,
-        pods=pods,
-        variants=tuple(Variant(a) for a in algorithms),
-        params=(("secondnet_size_cap", secondnet_size_cap),),
-    )
-    return _points(Engine(n_jobs=n_jobs).run(scenario))
 
 
 def to_table(points: list[RuntimePoint]) -> Table:
@@ -78,12 +60,7 @@ def to_table(points: list[RuntimePoint]) -> Table:
 
 
 def present(result: ScenarioResult) -> None:
-    to_table(_points(result)).show()
+    to_table(points(result)).show()
 
 
-main = scenario_main(SCENARIO, __doc__, present)
-
-registry.register(SCENARIO, present, cli=main)
-
-if __name__ == "__main__":
-    main()
+registry.register(SCENARIO, present)

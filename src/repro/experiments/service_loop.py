@@ -12,16 +12,16 @@ The decisions are bit-identical to the per-event loop at any cohort size
 (the differential suite in ``tests/simulation/test_service.py`` pins
 this); the scenario exists to observe the *service* — throughput,
 time-to-place percentiles, windowed rejection rate — not to change the
-placement results.
+placement results.  ``repro run service --param cohort=1 --param
+load_profile=diurnal`` sets the batch size and the arrival shape.
 """
 
 from __future__ import annotations
 
-from repro.engine import Engine, Scenario, ScenarioResult, Variant, registry
-from repro.experiments._cli import CliOption, scenario_main
+from repro.engine import Scenario, ScenarioResult, Variant, registry
 from repro.experiments._table import Table
 
-__all__ = ["run", "main", "SCENARIO"]
+__all__ = ["SCENARIO", "present", "to_table"]
 
 SCENARIO = Scenario(
     name="service",
@@ -33,28 +33,6 @@ SCENARIO = Scenario(
     arrivals=20_000,
     params=(("cohort", 64), ("heartbeat", 4096), ("load_profile", "poisson")),
 )
-
-
-def run(
-    *,
-    arrivals: int = 20_000,
-    load: float = 0.9,
-    cohort: int = 64,
-    load_profile: str = "poisson",
-    pods: int | None = None,
-    n_jobs: int = 1,
-) -> ScenarioResult:
-    scenario = SCENARIO.override(
-        arrivals=arrivals,
-        loads=(load,),
-        pods=pods,
-        params=(
-            ("cohort", cohort),
-            ("heartbeat", 4096),
-            ("load_profile", load_profile),
-        ),
-    )
-    return Engine(n_jobs=n_jobs).run(scenario)
 
 
 def to_table(result: ScenarioResult) -> Table:
@@ -102,39 +80,4 @@ def present(result: ScenarioResult) -> None:
         )
 
 
-main = scenario_main(
-    SCENARIO,
-    __doc__,
-    present,
-    options=(
-        CliOption(
-            "--load-profile",
-            str,
-            "poisson",
-            "arrival shape: poisson (flat rate) or diurnal (day/night cycle)",
-            lambda scenario, value: scenario.override(
-                params=tuple(
-                    (key, value if key == "load_profile" else old)
-                    for key, old in scenario.params
-                )
-            ),
-        ),
-        CliOption(
-            "--cohort",
-            int,
-            64,
-            "admission batch size (1 = per-event bookkeeping)",
-            lambda scenario, value: scenario.override(
-                params=tuple(
-                    (key, value if key == "cohort" else old)
-                    for key, old in scenario.params
-                )
-            ),
-        ),
-    ),
-)
-
-registry.register(SCENARIO, present, cli=main)
-
-if __name__ == "__main__":
-    main()
+registry.register(SCENARIO, present)

@@ -10,13 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.engine import Engine, Scenario, ScenarioResult, Variant, registry
-from repro.engine.context import POOL_NAMES
-from repro.experiments._cli import CliOption, scenario_main
+from repro.engine import Scenario, ScenarioResult, Variant, registry
 from repro.experiments._table import Table
 from repro.simulation.runner import ReservedBandwidth
 
-__all__ = ["run", "main", "SCENARIO"]
+__all__ = ["SCENARIO", "Table1Result", "present", "to_results"]
 
 SCENARIO = Scenario(
     name="table1",
@@ -34,6 +32,11 @@ SCENARIO = Scenario(
 class Table1Result:
     reserved: ReservedBandwidth
     table: Table
+
+
+def to_results(result: ScenarioResult) -> list[Table1Result]:
+    """One :class:`Table1Result` per grid point (``--seeds``/``--bmax`` sweeps)."""
+    return [_to_result(trial_result) for trial_result in result]
 
 
 def _to_result(trial_result) -> Table1Result:
@@ -59,56 +62,9 @@ def _to_result(trial_result) -> Table1Result:
     return Table1Result(reserved=reserved, table=table)
 
 
-def run(
-    *,
-    workload: str = "bing",
-    pods: int = 8,
-    bmax: float = 800.0,
-    seed: int = 1,
-    n_jobs: int = 1,
-) -> Table1Result:
-    scenario = SCENARIO.override(
-        pool=workload, pods=pods, bmaxes=(bmax,), seeds=(seed,)
-    )
-    (trial_result,) = Engine(n_jobs=n_jobs).run(scenario).results
-    return _to_result(trial_result)
-
-
 def present(result: ScenarioResult) -> None:
-    # One table per grid point (the CLI allows --seeds/--bmax sweeps).
-    for trial_result in result:
-        _to_result(trial_result).table.show()
+    for table1 in to_results(result):
+        table1.table.show()
 
 
-def _str_choice(value: str) -> str:
-    if value not in POOL_NAMES:
-        raise ValueError(f"workload must be one of {POOL_NAMES}")
-    return value
-
-
-main = scenario_main(
-    SCENARIO,
-    __doc__,
-    present,
-    options=(
-        CliOption(
-            "--workload",
-            _str_choice,
-            "bing",
-            f"tenant pool, one of {POOL_NAMES}",
-            lambda scenario, value: scenario.override(pool=value),
-        ),
-        CliOption(
-            "--bmax",
-            float,
-            800.0,
-            "per-VM bandwidth scale (Mbps)",
-            lambda scenario, value: scenario.override(bmaxes=(value,)),
-        ),
-    ),
-)
-
-registry.register(SCENARIO, present, cli=main)
-
-if __name__ == "__main__":
-    main()
+registry.register(SCENARIO, present)

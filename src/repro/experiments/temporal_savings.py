@@ -11,12 +11,11 @@ per-window server-level utilization profile.
 
 from __future__ import annotations
 
-from repro.engine import Engine, Scenario, ScenarioResult, TopologyCase, Variant, registry
-from repro.experiments._cli import CliOption, scenario_main
+from repro.engine import Scenario, ScenarioResult, TopologyCase, Variant, registry
 from repro.experiments._table import Table
 from repro.topology.builder import DatacenterSpec
 
-__all__ = ["run", "main", "SCENARIO", "DEFAULT_WINDOWS"]
+__all__ = ["SCENARIO", "present", "to_table", "DEFAULT_WINDOWS"]
 
 DEFAULT_WINDOWS = (4, 8, 12)
 
@@ -43,19 +42,6 @@ SCENARIO = Scenario(
     xs=DEFAULT_WINDOWS,
     params=(("tenants", 48), ("trough", 0.2)),
 )
-
-
-def run(
-    *,
-    windows: tuple[int, ...] = DEFAULT_WINDOWS,
-    tenants: int = 48,
-    pods: int | None = None,
-    n_jobs: int = 1,
-) -> ScenarioResult:
-    scenario = SCENARIO.override(
-        xs=windows, pods=pods, params=(("tenants", tenants), ("trough", 0.2))
-    )
-    return Engine(n_jobs=n_jobs).run(scenario)
 
 
 def to_table(result: ScenarioResult) -> Table:
@@ -95,24 +81,4 @@ def present(result: ScenarioResult) -> None:
             )
 
 
-main = scenario_main(
-    SCENARIO,
-    __doc__,
-    present,
-    options=(
-        CliOption(
-            "--windows",
-            str,
-            ",".join(str(w) for w in DEFAULT_WINDOWS),
-            "comma-separated window counts on the x-axis",
-            lambda scenario, value: scenario.override(
-                xs=tuple(int(part) for part in value.split(",") if part.strip())
-            ),
-        ),
-    ),
-)
-
-registry.register(SCENARIO, present, cli=main)
-
-if __name__ == "__main__":
-    main()
+registry.register(SCENARIO, present)

@@ -7,7 +7,9 @@ scenario's trial matrix serially under :mod:`cProfile`, prints the
 top-N ``pstats`` table, and follows it with a flat summary of the obs
 hot-path counters collected during the same run — so "N seconds in
 ``adjust_uplink_id``" sits next to "M journal ops" and the per-op cost
-falls out by division.
+falls out by division.  It takes every ``repro run`` grid override, so
+``repro profile service --arrivals 2000`` profiles a run short enough to
+finish.
 """
 
 from __future__ import annotations
@@ -26,12 +28,14 @@ SORT_KEYS = ("cumulative", "tottime", "calls", "ncalls", "pcalls", "time")
 def profile_main(argv: list[str] | None = None) -> int:
     import argparse
 
+    from repro.cli import UsageError, add_override_arguments, resolve_scenario
+
     parser = argparse.ArgumentParser(
         prog="repro profile",
         description="run scenario trials under cProfile and print the "
         "top-N pstats table plus the obs hot-path counters",
     )
-    parser.add_argument("name", help="scenario name or alias (see 'repro list')")
+    add_override_arguments(parser)
     parser.add_argument(
         "--trials",
         type=int,
@@ -64,21 +68,23 @@ def profile_main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    from repro.engine import registry
     from repro.engine.runners import execute_trial
-    from repro.errors import EngineError
+    from repro.errors import ReproError
 
     try:
-        entry = registry.get(args.name)
-    except EngineError as error:
-        print(error)
+        _, scenario = resolve_scenario(args)
+    except UsageError as error:
+        print(f"error: {error}")
         return 2
-    trials = entry.scenario.expand()
+    except ReproError as error:
+        print(f"error: {error}")
+        return 1
+    trials = scenario.expand()
     if args.trials > 0:
         trials = trials[: args.trials]
     print(
-        f"profiling {len(trials)} {entry.scenario.kind!r} trial(s) of "
-        f"{entry.scenario.name!r} (serial, instrumented)",
+        f"profiling {len(trials)} {scenario.kind!r} trial(s) of "
+        f"{scenario.name!r} (serial, instrumented)",
         file=sys.stderr,
     )
 

@@ -60,23 +60,20 @@ def poisson_arrivals(
     """Sample ``count`` Poisson arrivals with exponential dwell times.
 
     Tenants are drawn uniformly from ``pool``; inter-arrival gaps are
-    exponential with the rate implied by ``load``.
+    exponential with the rate implied by ``load``.  The materialized
+    form of :func:`arrival_stream` (one block holds every draw).
     """
-    if not pool:
-        raise SimulationError("tenant pool is empty")
-    if count <= 0:
-        raise SimulationError(f"need a positive arrival count, got {count}")
-    rng = np.random.default_rng(seed)
-    mean_size = float(np.mean([tag.size for tag in pool]))
-    rate = arrival_rate_for_load(load, total_slots, mean_size, mean_dwell)
-    gaps = rng.exponential(1.0 / rate, size=count)
-    times = np.cumsum(gaps)
-    indices = rng.integers(0, len(pool), size=count)
-    dwells = rng.exponential(mean_dwell, size=count)
-    return [
-        Arrival(float(t), int(i), float(d))
-        for t, i, d in zip(times, indices, dwells)
-    ]
+    return list(
+        arrival_stream(
+            pool,
+            count,
+            load,
+            total_slots,
+            mean_dwell=mean_dwell,
+            seed=seed,
+            block=count,
+        )
+    )
 
 
 def _stream_inputs(

@@ -19,9 +19,12 @@ accept/reject sequences and ledger end-state for all four placers):
 * decisions stay strictly sequential — a cohort changes *when the
   bookkeeping happens*, never the ledger state a placement sees;
 * one fused feasibility pre-pass per cohort: a running root free-slot
-  count screens arrivals that cannot fit before the placer is invoked
-  (any correct placer must reject a tenant with more VMs than the
-  datacenter has free slots, so the short-circuit is decision-exact);
+  count screens arrivals that cannot fit before the placer is invoked.
+  Any correct placer must reject a tenant with more VMs than the
+  datacenter has free slots, but skipping ``place()`` is exact only for
+  placers whose decisions do not depend on the arrivals they have
+  seen: opportunistic HA (§4.5) steers its search by a running mean
+  over every arrival, so under it the gate is off;
 * per-tier utilization is sampled at heartbeat boundaries instead of
   after every admission, amortizing the O(servers) sweep to ~zero;
 * metric accounting accumulates in locals and flushes once per cohort.
@@ -250,6 +253,11 @@ class ServiceLoop:
 
     ``on_decision`` (tests, benches) receives ``True``/``False`` per
     arrival in order; leave it ``None`` on the hot path.
+
+    The root free-slot gate rejects a tenant larger than the free slots
+    without calling the placer.  It is skipped when the placer's HA
+    policy is opportunistic: that placer observes every arrival's demand
+    in ``place()``, gated or not.
     """
 
     def __init__(
@@ -287,6 +295,8 @@ class ServiceLoop:
         self._root_id = ledger.flat.root_id
         self._total_slots = ledger.topology.total_slots
         self._bw_fraction = getattr(ledger, "server_bandwidth_fraction", None)
+        ha = getattr(placer, "ha", None)
+        self._gate = not (ha is not None and ha.opportunistic)
 
     # ------------------------------------------------------------------
     def run(self, events: Iterable[Arrival]) -> dict:
@@ -296,7 +306,10 @@ class ServiceLoop:
         sizes = self._sizes
         bws = self._bws
         place = self.placer.place
-        free_of = self.ledger.free_slots_id
+        if self._gate:
+            free_of = self.ledger.free_slots_id
+        else:
+            free_of = _ungated
         root_id = self._root_id
         latency_add = metrics.place_latency.add
         window_add = metrics.window.add
@@ -335,7 +348,8 @@ class ServiceLoop:
                 if size > free:
                     # Fused feasibility gate: more VMs than the whole
                     # datacenter has free — every placer rejects this
-                    # identically, without a scan.
+                    # identically, without a scan.  (free is infinite
+                    # when the gate is off.)
                     rejected += 1
                     rej_vms += size
                     rej_bw += bws[index]
@@ -452,6 +466,11 @@ class ServiceLoop:
                 "mean_place_ms": latency.mean * 1e3,
             },
         }
+
+
+def _ungated(node_id: int) -> float:
+    """Stand-in free-slot count that lets every arrival reach the placer."""
+    return math.inf
 
 
 def ledger_fingerprint(ledger) -> str:

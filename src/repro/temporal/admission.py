@@ -47,7 +47,6 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -178,7 +177,7 @@ class TemporalLedger(SlotAccountingMixin):
         # of ~80 recurring tenants computes each division exactly once
         # over a million-event service run.  ``_active_profile`` is the
         # identity fast path for back-to-back activations of the same
-        # tenant (cohort admission sorts consecutive same-profile runs).
+        # profile.
         self._ratio_cache: dict[TemporalProfile, tuple[float, ...]] = {}
         self._active_profile: TemporalProfile | None = None
         self._planes = tuple(
@@ -499,48 +498,6 @@ class TemporalCluster:
         admission = TemporalAdmission(tenant, result.allocation)
         self._admitted[id(admission)] = admission
         return admission
-
-    def admit_cohort(
-        self, tenants: Sequence[TemporalTag]
-    ) -> list[TemporalAdmission | None]:
-        """Admit one arrival cohort with a fused W-plane feasibility pass.
-
-        Decision-identical to :meth:`admit` called per tenant in arrival
-        order (a test pins this): VM slots are plane-invariant, so one
-        running root free-slot count screens the whole batch — a tenant
-        whose VM count exceeds it is rejected without activating its
-        ratios or walking any plane (the placer's own first gate would
-        reject it identically) — and survivors place under the memoized
-        ratios, paying the per-plane work only for tenants that can
-        actually fit.
-        """
-        ledger = self.ledger
-        root_id = ledger.flat.root_id
-        free = ledger.free_slots_id(root_id)
-        results: list[TemporalAdmission | None] = []
-        for tenant in tenants:
-            if tenant.profile.windows != self.windows:
-                raise SimulationError(
-                    f"tenant has {tenant.profile.windows} windows, cluster "
-                    f"has {self.windows}"
-                )
-            tag = self._peak_tag(tenant)
-            if tag.size > free:  # type: ignore[attr-defined]
-                self.rejected += 1
-                results.append(None)
-                continue
-            ledger.set_ratios(tenant.profile)
-            result = self.placer.place(tag)
-            if isinstance(result, Rejection):
-                self.rejected += 1
-                results.append(None)
-                continue
-            assert isinstance(result, Placement)
-            admission = TemporalAdmission(tenant, result.allocation)
-            self._admitted[id(admission)] = admission
-            results.append(admission)
-            free = ledger.free_slots_id(root_id)
-        return results
 
     def depart(self, admission: TemporalAdmission) -> None:
         # Release must run under the departing tenant's own ratios: its

@@ -258,10 +258,11 @@ class TestCli:
         assert "hose" in out
 
     def test_shorthand_dispatches_experiment_cli(self, capsys):
-        # Legacy `repro-experiment table1 --workload hpcloud` spelling.
+        # `repro table1 ...` (and `repro-experiment table1 ...`) is
+        # `repro run table1 ...`.
         from repro.cli import main
 
-        assert main(["table1", "--workload", "hpcloud", "--pods", "1"]) == 0
+        assert main(["table1", "--pool", "hpcloud", "--pods", "1"]) == 0
         assert "hpcloud workload" in capsys.readouterr().out
 
     def test_multi_seed_grid_renders_per_trial_tables(self, capsys):

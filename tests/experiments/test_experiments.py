@@ -6,11 +6,8 @@ reduced scale; the benchmarks regenerate the full tables.
 
 from __future__ import annotations
 
-import numpy as np
-import pytest
-
+from repro.engine import Engine, Variant, registry
 from repro.experiments import (
-    EXPERIMENTS,
     fig01_survey,
     fig04_hose_failure,
     fig10_ablation,
@@ -20,27 +17,33 @@ from repro.experiments import (
     runtime_scaling,
     table1_reserved_bw,
 )
+from repro.placement.ha import HaPolicy
 
-FAST = dict(pods=1, arrivals=120, seed=0)
+FAST = dict(pods=1, arrivals=120, seeds=(0,))
 
 
 class TestFig1:
     def test_claims(self):
-        result = fig01_survey.run()
+        result = fig01_survey.to_result(Engine().run(fig01_survey.SCENARIO))
         assert result.interactive_median > result.batch_median
         assert len(result.server_ratios) == 4
 
 
 class TestFig4:
     def test_tag_holds_hose_fails(self):
-        outcomes = fig04_hose_failure.run()
+        outcomes = fig04_hose_failure.to_outcomes(
+            Engine().run(fig04_hose_failure.SCENARIO)
+        )
         assert outcomes["tag"].web_guarantee_met
         assert not outcomes["hose"].web_guarantee_met
 
 
 class TestTable1:
     def test_orderings(self):
-        result = table1_reserved_bw.run(pods=1, bmax=800.0, seed=1)
+        scenario = table1_reserved_bw.SCENARIO.override(
+            pods=1, bmaxes=(800.0,), seeds=(1,)
+        )
+        (result,) = table1_reserved_bw.to_results(Engine().run(scenario))
         reserved = result.reserved
         for level in ("server", "tor", "agg"):
             assert reserved.cm_voc[level] >= reserved.cm_tag[level] - 1e-9
@@ -50,7 +53,9 @@ class TestTable1:
 
 class TestFig10:
     def test_full_cm_is_best(self):
-        points = fig10_ablation.run(**FAST)
+        points = fig10_ablation.points(
+            Engine().run(fig10_ablation.SCENARIO.override(**FAST))
+        )
         rates = {p.variant: p.metrics.bw_rejection_rate for p in points}
         assert rates["cm"] <= rates["ovoc"] + 1e-9
         assert rates["cm"] <= rates["cm-coloc-only"] + 1e-9
@@ -58,9 +63,11 @@ class TestFig10:
 
 class TestFig11:
     def test_guarantee_achieved(self):
-        points = fig11_wcs_guarantee.run(
-            required_values=(0.5,), algorithms=("cm",), **FAST
+        scenario = fig11_wcs_guarantee.SCENARIO.override(
+            variants=(Variant("cm@50%", "cm", HaPolicy(required_wcs=0.5)),),
+            **FAST,
         )
+        points = fig11_wcs_guarantee.points(Engine().run(scenario))
         (point,) = points
         # Multi-VM components must achieve at least ~the requirement.
         assert point.metrics.wcs.minimum >= 0.5 - 1e-9
@@ -68,7 +75,8 @@ class TestFig11:
 
 class TestFig13:
     def test_series_shapes(self):
-        result = fig13_enforcement.run(max_senders=4)
+        scenario = fig13_enforcement.SCENARIO.override(xs=range(5))
+        result = fig13_enforcement.to_result(Engine().run(scenario))
         for point in result.tag_points:
             assert point.x_to_z >= 450.0 - 1e-6
         hose_series = [p.x_to_z for p in result.hose_points[1:]]
@@ -77,9 +85,10 @@ class TestFig13:
 
 class TestRuntime:
     def test_cm_subsecond_for_small_tenants(self):
-        points = runtime_scaling.run(
-            sizes=(25, 100), pods=1, algorithms=("cm", "ovoc")
+        scenario = runtime_scaling.SCENARIO.override(
+            xs=(25, 100), pods=1, variants=(Variant("cm"), Variant("ovoc"))
         )
+        points = runtime_scaling.points(Engine().run(scenario))
         cm = [p for p in points if p.algorithm == "cm"]
         assert all(p.seconds < 1.0 for p in cm)
         assert all(p.placed for p in cm)
@@ -87,7 +96,15 @@ class TestRuntime:
 
 class TestInference:
     def test_mean_ami_in_paper_ballpark(self):
-        result = inference_ami.run(max_vms=40, max_applications=6, seed=1)
+        scenario = inference_ami.SCENARIO.override(
+            seeds=(1,),
+            params=(
+                ("max_applications", 6),
+                ("max_vms", 40),
+                ("noise_fraction", 0.05),
+            ),
+        )
+        (result,) = inference_ami.to_results(Engine().run(scenario))
         assert result.applications > 0
         # Paper reports 0.54 on production traces; synthetic traces are
         # cleaner, so anything clearly above chance passes.
@@ -98,7 +115,10 @@ class TestTemporal:
     def test_window_aware_admits_more(self, capsys):
         from repro.experiments import temporal_savings
 
-        result = temporal_savings.run(windows=(4,), tenants=16)
+        scenario = temporal_savings.SCENARIO.override(
+            xs=(4,), params=(("tenants", 16), ("trough", 0.2))
+        )
+        result = Engine().run(scenario)
         admitted = {
             r.trial.variant.name: r.payload["admitted"] for r in result
         }
@@ -111,7 +131,12 @@ class TestTemporal:
 
 class TestCli:
     def test_registry_complete(self):
-        assert set(EXPERIMENTS) == {
+        names = {
+            name
+            for entry in registry.entries()
+            for name in (entry.name, *entry.aliases)
+        }
+        assert names >= {
             "fig1",
             "fig4",
             "table1",

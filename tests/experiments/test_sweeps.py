@@ -2,21 +2,24 @@
 
 from __future__ import annotations
 
+from repro.engine import Engine, TopologyCase
 from repro.experiments import (
     fig07_bmax_sweep,
     fig08_load_sweep,
     fig09_oversub_sweep,
     fig12_opportunistic_ha,
 )
+from repro.topology.builder import DatacenterSpec
 
-TINY = dict(pods=1, arrivals=80, seed=0)
+TINY = dict(pods=1, arrivals=80, seeds=(0,))
 
 
 class TestFig7:
     def test_single_point_sweep(self):
-        points = fig07_bmax_sweep.run(
-            loads=(0.5,), bmax_values=(600.0,), **TINY
+        scenario = fig07_bmax_sweep.SCENARIO.override(
+            loads=(0.5,), bmaxes=(600.0,), **TINY
         )
+        points = fig07_bmax_sweep.points(Engine().run(scenario))
         assert len(points) == 2  # cm + ovoc
         cm, ovoc = points
         assert cm.algorithm == "cm"
@@ -27,7 +30,8 @@ class TestFig7:
 
 class TestFig8:
     def test_two_loads(self):
-        points = fig08_load_sweep.run(loads=(0.3, 0.8), **TINY)
+        scenario = fig08_load_sweep.SCENARIO.override(loads=(0.3, 0.8), **TINY)
+        points = fig08_load_sweep.points(Engine().run(scenario))
         assert len(points) == 4
         chart = fig08_load_sweep.to_chart(points)
         assert "cm" in chart and "ovoc" in chart
@@ -35,9 +39,11 @@ class TestFig8:
 
 class TestFig9:
     def test_single_ratio(self):
-        points = fig09_oversub_sweep.run(
-            oversubscriptions={32: (4.0, 8.0)}, **TINY
+        spec = DatacenterSpec(pods=1, tor_oversub=4.0, agg_oversub=8.0)
+        scenario = fig09_oversub_sweep.SCENARIO.override(
+            topologies=(TopologyCase("32x", spec),), **TINY
         )
+        points = fig09_oversub_sweep.points(Engine().run(scenario))
         assert {p.oversubscription for p in points} == {32}
         text = fig09_oversub_sweep.to_table(points).to_text()
         assert "32x" in text
@@ -45,7 +51,8 @@ class TestFig9:
 
 class TestFig12:
     def test_three_modes(self):
-        points = fig12_opportunistic_ha.run(bmax_values=(800.0,), **TINY)
+        scenario = fig12_opportunistic_ha.SCENARIO.override(bmaxes=(800.0,), **TINY)
+        points = fig12_opportunistic_ha.points(Engine().run(scenario))
         modes = [p.mode for p in points]
         assert modes == ["cm", "cm+ha", "cm+oppha"]
         ha_point = points[1]

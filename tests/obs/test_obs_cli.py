@@ -67,6 +67,20 @@ class TestProfileCommand:
         with ResultStore(path) as store:
             assert store.count(kind="runtime") == 1
 
+    def test_takes_run_overrides(self, tmp_path, capsys):
+        path = str(tmp_path / "service.sqlite")
+        assert profile_main(
+            ["service", "--arrivals", "200", "--trials", "1", "--store", path]
+        ) == 0
+        assert "profiling 1 'service' trial(s)" in capsys.readouterr().err
+        with ResultStore(path) as store:
+            (row,) = store.rows(kind="service")
+        assert row.payload()["arrivals"] == 200
+
+    def test_unsupported_override_fails_cleanly(self, capsys):
+        assert profile_main(["fig08", "--xs", "1"]) == 2
+        assert "--xs would have no effect" in capsys.readouterr().out
+
     def test_unknown_scenario_fails_cleanly(self, capsys):
         assert profile_main(["nope"]) == 2
         assert "nope" in capsys.readouterr().out

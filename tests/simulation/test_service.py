@@ -30,7 +30,9 @@ from repro.simulation.service import (
 )
 from repro.topology.builder import DatacenterSpec, three_level_tree
 from repro.topology.ledger import Ledger
+from repro.workloads.bing import bing_pool
 from repro.workloads.patterns import three_tier
+from repro.workloads.scaling import scale_pool
 
 SPEC = DatacenterSpec(servers_per_rack=8, racks_per_pod=4, pods=2)
 
@@ -105,6 +107,22 @@ class TestDifferentialParity:
         ha = HaPolicy(required_wcs=0.5, laa_level=0)
         pool = _pool()
         events = _events(pool)
+        expected, end_state, _ = _per_event_run("cm", pool, events, ha=ha)
+        decisions, fingerprint, _ = _service_run(
+            "cm", pool, events, cohort=cohort, ha=ha
+        )
+        assert decisions == expected
+        assert fingerprint == end_state
+
+    @pytest.mark.parametrize("cohort", [1, 64])
+    def test_opportunistic_ha_parity(self, cohort):
+        # cm+oppHA steers its search by a running mean over every tenant
+        # it has seen, so arrivals the root gate would bounce must still
+        # reach place().  On this input the gated loop accepts the same
+        # tenants but places them differently.
+        ha = HaPolicy(opportunistic=True, laa_level=0)
+        pool = scale_pool(bing_pool(), 800.0)
+        events = _events(pool, count=150, load=3.0, seed=0)
         expected, end_state, _ = _per_event_run("cm", pool, events, ha=ha)
         decisions, fingerprint, _ = _service_run(
             "cm", pool, events, cohort=cohort, ha=ha

@@ -163,52 +163,20 @@ class TestTemporalCluster:
         assert before == after
         assert cluster.ledger.free_slots(cluster.topology.root) == SPEC.total_slots
 
-
-class TestCohortAdmission:
-    """admit_cohort must be decision-identical to per-tenant admit."""
-
-    def _tenant_mix(self, windows=4, count=40):
-        day = diurnal_profile(windows, peak_window=1, trough=0.2)
-        night = diurnal_profile(windows, peak_window=3, trough=0.2)
-        return [
-            TemporalTag(web_tenant(0.4 + 0.1 * (i % 3)), day if i % 2 else night)
-            for i in range(count)
-        ]
-
-    def test_cohort_matches_sequential_admit(self):
-        from repro.simulation.service import ledger_fingerprint
-
-        tenants = self._tenant_mix()
-        sequential = TemporalCluster(SPEC, windows=4)
-        expected = [sequential.admit(t) is not None for t in tenants]
-        batched = TemporalCluster(SPEC, windows=4)
-        results = batched.admit_cohort(tenants)
-        assert [r is not None for r in results] == expected
-        assert batched.rejected == sequential.rejected
-        assert ledger_fingerprint(batched.ledger) == ledger_fingerprint(
-            sequential.ledger
-        )
-
-    def test_cohort_skips_ratio_activation_for_infeasible_tenants(self):
+    def test_recurring_profiles_compile_ratios_once(self):
         from repro.obs import core as obs
 
-        tenants = self._tenant_mix(count=60)
+        day = diurnal_profile(4, peak_window=1, trough=0.2)
+        night = diurnal_profile(4, peak_window=3, trough=0.2)
+        tenants = [
+            TemporalTag(web_tenant(0.4 + 0.1 * (i % 3)), day if i % 2 else night)
+            for i in range(60)
+        ]
         with obs.enabled_scope() as counters:
-            batched = TemporalCluster(SPEC, windows=4)
-            batched.admit_cohort(tenants)
-            batched_compiles = counters.get("temporal.ratio_compiles", 0)
-        with obs.enabled_scope() as counters:
-            sequential = TemporalCluster(SPEC, windows=4)
+            cluster = TemporalCluster(SPEC, windows=4)
             for tenant in tenants:
-                sequential.admit(tenant)
-            sequential_compiles = counters.get("temporal.ratio_compiles", 0)
+                cluster.admit(tenant)
+            compiles = counters.get("temporal.ratio_compiles", 0)
         # Two distinct profiles in the pool: the memo means at most two
-        # compiles either way, never one per arrival.
-        assert batched_compiles <= 2
-        assert sequential_compiles <= 2
-
-    def test_window_mismatch_rejected_in_cohort(self):
-        cluster = TemporalCluster(SPEC, windows=4)
-        bad = TemporalTag(web_tenant(), diurnal_profile(8))
-        with pytest.raises(SimulationError):
-            cluster.admit_cohort([bad])
+        # compiles, never one per arrival.
+        assert compiles <= 2

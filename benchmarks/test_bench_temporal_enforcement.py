@@ -1,502 +1,123 @@
-"""Benchmark: the planes-on-arrays temporal/enforcement core vs the seed.
+"""Benchmark: temporal admission and max-min enforcement throughput.
 
-Before/after measurements against the frozen pre-PR-5 stack under
-``benchmarks/_legacy`` (``temporal_admission.py``: W multiplexed
-``Ledger`` planes + per-plane journals; ``maxmin.py`` +
-``elasticswitch.py`` + ``dynamics.py``: the scalar dict-based
-water-filling kernel and its per-call problem rebuilding), on identical
-inputs:
+Live-code timings on the fixed inputs whose outputs
+``tests/test_pinned_digests.py`` pins bit-for-bit, recorded in
+``BENCH_temporal_enforcement.json`` as ``*_per_sec`` leaves so
+``repro bench track`` keeps one series per measurement:
 
-* **Temporal ledger throughput** — a real CloudMirror admission stream
-  over W windows is recorded at the ledger surface (every query,
-  adjustment, slot op, rollback and release the placer issues, in
-  order), then the trace is replayed against both ledger
-  implementations.  The replay isolates the rebuilt layer from the
-  (shared, unchanged) placer bookkeeping; full admission wall time is
-  reported alongside.  Both implementations must make identical
-  admit/reject decisions and finish with identical per-plane
-  reservations.  The headline ratio is taken at the ladder's largest
-  window count (the paper-realistic 24 hourly windows), matching the
-  placement-core bench's largest-size convention.
-* **Max-min / enforcement throughput** — the Fig. 13 guarantee
-  partitioning + work conservation (two ``maxmin_rates`` passes over
-  per-VM hoses and the reserved bottleneck share) at growing sender
-  counts, in both abstraction modes, plus the raw kernel on a
-  many-round parking-lot chain and the cached-incidence dynamics loop.
-  Rates must be bit-identical to the frozen scalar stack.
-
-Scale knobs: ``REPRO_BENCH_TEMPORAL_WINDOWS`` (default ``4,12,24``),
-``REPRO_BENCH_TEMPORAL_TENANTS`` (default 60),
-``REPRO_BENCH_FIG13_SENDERS`` (default ``50,200,800``).  Speedup
-floors: ``REPRO_BENCH_TEMPORAL_MIN_SPEEDUP`` /
-``REPRO_BENCH_MAXMIN_MIN_SPEEDUP`` (default 3.0; set to 0 on noisy
-shared CI runners, where the recorded JSON is report-only).
+* **Temporal admission** — a 60-tenant CloudMirror admission stream
+  (alternating day-peaked three-tier and night-peaked MapReduce
+  tenants) over W = 4, 12 and 24 windows: tenants decided per second.
+  The W-plane ledger work grows with W; the placer's does not.
+* **Max-min / enforcement** — Fig. 13 guarantee partitioning plus work
+  conservation at 50, 200 and 800 senders in both abstraction modes,
+  the raw kernel on an 800-flow parking-lot chain (one round per
+  distinct bottleneck), and 30 periods of the dynamics control loop
+  with 200 senders.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
 import platform
 import time
 from pathlib import Path
 
-from _legacy.dynamics import ElasticSwitchDynamics as LegacyDynamics
-from _legacy.elasticswitch import PairFlow as LegacyPairFlow
-from _legacy.elasticswitch import enforce as legacy_enforce
-from _legacy.maxmin import FlowSpec as LegacyFlowSpec
-from _legacy.maxmin import maxmin_rates as legacy_maxmin_rates
-from _legacy.temporal_admission import TemporalLedger as LegacyTemporalLedger
+from tests.test_pinned_digests import (
+    TEMPORAL,
+    TEMPORAL_SPEC,
+    fig13_inputs,
+    temporal_tenants,
+)
 
-from repro.core.tag import Tag
 from repro.enforcement.dynamics import ElasticSwitchDynamics
-from repro.enforcement.elasticswitch import PairFlow, enforce
+from repro.enforcement.elasticswitch import enforce
 from repro.enforcement.maxmin import FlowSpec, maxmin_rates
-from repro.placement.base import Placement
-from repro.placement.cloudmirror import CloudMirrorPlacer
-from repro.temporal.admission import TemporalLedger
-from repro.temporal.profile import TemporalTag, diurnal_profile
-from repro.topology.builder import DatacenterSpec, three_level_tree
-from repro.topology.ledger import Journal
-from repro.workloads.patterns import mapreduce, three_tier
+from repro.temporal.admission import TemporalCluster
 
 OUTPUT = Path("BENCH_temporal_enforcement.json")
 
-SPEC = DatacenterSpec(
-    servers_per_rack=8,
-    racks_per_pod=4,
-    pods=2,
-    slots_per_server=4,
-    server_uplink=2000.0,
-    tor_oversub=4.0,
-    agg_oversub=4.0,
-)
+
+def _best_seconds(fn, repeats: int) -> float:
+    best = math.inf
+    for _ in range(repeats):
+        started = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - started)
+    return best
 
 
-def _env_ints(name: str, default: str) -> tuple[int, ...]:
-    raw = os.environ.get(name, default)
-    return tuple(int(part) for part in raw.split(",") if part.strip())
+def _bench_temporal() -> dict:
+    out = {}
+    for windows in TEMPORAL:
+        tenants = temporal_tenants(windows)
+        admitted = 0
+
+        def admit_stream():
+            nonlocal admitted
+            cluster = TemporalCluster(TEMPORAL_SPEC, windows=windows)
+            admitted = sum(cluster.admit(t) is not None for t in tenants)
+
+        seconds = _best_seconds(admit_stream, repeats=3)
+        out[f"W{windows}"] = {
+            "tenants": len(tenants),
+            "admitted": admitted,
+            "admit_ms": round(seconds * 1e3, 3),
+            "tenants_per_sec": round(len(tenants) / seconds, 1),
+        }
+    return out
 
 
-def _tenants(windows: int, count: int) -> list[TemporalTag]:
-    day = diurnal_profile(windows, peak_window=windows // 3, trough=0.2)
-    night = diurnal_profile(
-        windows, peak_window=windows // 3 + windows // 2, trough=0.2
-    )
-    tenants = []
-    for i in range(count):
-        if i % 2 == 0:
-            base = three_tier(f"web-{i}", (4, 4, 2), 675.0, 225.0, 60.0)
-            profile = day
-        else:
-            base = mapreduce(f"batch-{i}", 6, 3, 600.0, intra_bw=240.0)
-            profile = night
-        tenants.append(TemporalTag(base, profile))
-    return tenants
-
-
-# ----------------------------------------------------------------------
-# Temporal ledger: record one admission stream's ledger-surface trace
-# ----------------------------------------------------------------------
-
-# Op codes for the recorded trace, ordered by observed frequency so the
-# replay dispatch chain (identical for both implementations) stays flat.
-_Q_NOM_UP = 0
-_Q_NOM_DOWN = 1
-_Q_AVAIL_UP = 2
-_Q_AVAIL_DOWN = 3
-_Q_FREE = 4
-_Q_USED = 5
-_Q_OVER = 6
-_M_ADJUST = 7
-_M_RESERVE = 8
-_M_RELEASE_SLOTS = 9
-_M_RELEASE_UPLINK = 10
-_M_ROLLBACK = 11
-_M_RATIOS = 12
-
-
-class RecordingLedger(TemporalLedger):
-    """A live temporal ledger that logs every surface call it serves."""
-
-    def __init__(self, topology, windows):
-        super().__init__(topology, windows)
-        self.trace: list[tuple] = []
-        self._journal_ids: dict[int, int] = {}
-
-    def _jid(self, journal) -> int:
-        jid = self._journal_ids.get(id(journal))
-        if jid is None:
-            jid = self._journal_ids[id(journal)] = len(self._journal_ids)
-        return jid
-
-    def set_ratios(self, profile):
-        self.trace.append((_M_RATIOS, profile))
-        super().set_ratios(profile)
-
-    def available_up_id(self, node_id):
-        self.trace.append((_Q_AVAIL_UP, node_id))
-        return super().available_up_id(node_id)
-
-    def available_down_id(self, node_id):
-        self.trace.append((_Q_AVAIL_DOWN, node_id))
-        return super().available_down_id(node_id)
-
-    def nominal_available_up_id(self, node_id):
-        self.trace.append((_Q_NOM_UP, node_id))
-        return super().nominal_available_up_id(node_id)
-
-    def nominal_available_down_id(self, node_id):
-        self.trace.append((_Q_NOM_DOWN, node_id))
-        return super().nominal_available_down_id(node_id)
-
-    def free_slots_id(self, node_id):
-        self.trace.append((_Q_FREE, node_id))
-        return super().free_slots_id(node_id)
-
-    def free_slots(self, node):
-        self.trace.append((_Q_FREE, node.node_id))
-        return super().free_slots(node)
-
-    def used_slots(self, server):
-        self.trace.append((_Q_USED, server.node_id))
-        return super().used_slots(server)
-
-    def used_slots_id(self, server_id):
-        self.trace.append((_Q_USED, server_id))
-        return super().used_slots_id(server_id)
-
-    def has_overcommit(self):
-        self.trace.append((_Q_OVER, 0))
-        return super().has_overcommit()
-
-    def adjust_uplink_id(self, node_id, delta_up, delta_down, journal, enforce=True):
-        self.trace.append(
-            (_M_ADJUST, node_id, delta_up, delta_down, self._jid(journal), enforce)
-        )
-        return super().adjust_uplink_id(
-            node_id, delta_up, delta_down, journal, enforce
-        )
-
-    def reserve_slots(self, server, count, journal):
-        self.trace.append(
-            (_M_RESERVE, server.node_id, count, self._jid(journal))
-        )
-        return super().reserve_slots(server, count, journal)
-
-    def release_slots(self, server, count):
-        self.trace.append((_M_RELEASE_SLOTS, server.node_id, count))
-        super().release_slots(server, count)
-
-    def release_uplink_id(self, node_id, up, down):
-        self.trace.append((_M_RELEASE_UPLINK, node_id, up, down))
-        super().release_uplink_id(node_id, up, down)
-
-    def rollback(self, journal, savepoint=0):
-        self.trace.append((_M_ROLLBACK, self._jid(journal), savepoint))
-        super().rollback(journal, savepoint)
-
-
-def _record_trace(topology, windows: int, tenants) -> tuple[list[tuple], list[bool]]:
-    """Run real CloudMirror admissions, logging the ledger-surface ops."""
-    ledger = RecordingLedger(topology, windows)
-    placer = CloudMirrorPlacer(ledger)  # type: ignore[arg-type]
-    outcomes = []
-    for tenant in tenants:
-        ledger.set_ratios(tenant.profile)
-        outcomes.append(isinstance(placer.place(tenant.peak_tag()), Placement))
-    return ledger.trace, outcomes
-
-
-def _replay(ledger, trace, node_of) -> None:
-    """Drive one ledger implementation through a recorded op trace.
-
-    Methods are pre-bound and the dispatch chain is frequency-ordered,
-    so the (identical) replay overhead stays small next to the ledger
-    work being measured.
-    """
-    nominal_up = ledger.nominal_available_up_id
-    nominal_down = ledger.nominal_available_down_id
-    avail_up = ledger.available_up_id
-    avail_down = ledger.available_down_id
-    free_slots = ledger.free_slots_id
-    used_slots = ledger.used_slots_id
-    over = ledger.has_overcommit
-    adjust = ledger.adjust_uplink_id
-    reserve = ledger.reserve_slots
-    release_slots = ledger.release_slots
-    release_uplink = ledger.release_uplink_id
-    rollback = ledger.rollback
-    set_ratios = ledger.set_ratios
-    journals: dict[int, Journal] = {}
-    for op in trace:
-        code = op[0]
-        if code == _Q_NOM_UP:
-            nominal_up(op[1])
-        elif code == _Q_NOM_DOWN:
-            nominal_down(op[1])
-        elif code == _Q_AVAIL_UP:
-            avail_up(op[1])
-        elif code == _Q_AVAIL_DOWN:
-            avail_down(op[1])
-        elif code == _Q_FREE:
-            free_slots(op[1])
-        elif code == _Q_USED:
-            used_slots(op[1])
-        elif code == _Q_OVER:
-            over()
-        elif code == _M_ADJUST:
-            journal = journals.get(op[4])
-            if journal is None:
-                journal = journals[op[4]] = Journal()
-            adjust(op[1], op[2], op[3], journal, op[5])
-        elif code == _M_RESERVE:
-            journal = journals.get(op[3])
-            if journal is None:
-                journal = journals[op[3]] = Journal()
-            reserve(node_of[op[1]], op[2], journal)
-        elif code == _M_RELEASE_SLOTS:
-            release_slots(node_of[op[1]], op[2])
-        elif code == _M_RELEASE_UPLINK:
-            release_uplink(op[1], op[2], op[3])
-        elif code == _M_ROLLBACK:
-            rollback(journals[op[1]], op[2])
-        elif code == _M_RATIOS:
-            set_ratios(op[1])
-        else:  # pragma: no cover - defensive
-            raise AssertionError(f"unknown trace op {op!r}")
-
-
-def _plane_state(ledger, topology, windows: int):
-    return [
-        [
-            (ledger.planes[w].reserved_up(n), ledger.planes[w].reserved_down(n))
-            for n in topology.nodes
-        ]
-        for w in range(windows)
-    ]
-
-
-def _admit_stream(cluster_cls, windows: int, tenants):
-    cluster = cluster_cls(SPEC, windows=windows)
-    started = time.perf_counter()
-    outcomes = [cluster.admit(t) is not None for t in tenants]
-    return time.perf_counter() - started, outcomes
-
-
-def _bench_temporal() -> list[dict]:
-    from _legacy.temporal_admission import TemporalCluster as LegacyCluster
-    from repro.temporal.admission import TemporalCluster
-
-    rows = []
-    tenant_count = int(os.environ.get("REPRO_BENCH_TEMPORAL_TENANTS", "60"))
-    for windows in _env_ints("REPRO_BENCH_TEMPORAL_WINDOWS", "4,12,24"):
-        tenants = _tenants(windows, tenant_count)
-        topology = three_level_tree(SPEC)
-        node_of = topology.flat.node_of
-        trace, outcomes = _record_trace(topology, windows, tenants)
-
-        # The frozen and live stacks must make identical decisions on a
-        # full admission stream (wall time reported alongside).
-        old_admit_s, old_outcomes = _admit_stream(LegacyCluster, windows, tenants)
-        new_admit_s, new_outcomes = _admit_stream(TemporalCluster, windows, tenants)
-        assert old_outcomes == new_outcomes == outcomes, (
-            f"W={windows}: admission decisions diverged from the frozen stack"
-        )
-
-        best_old = best_new = math.inf
-        for _ in range(3):
-            old_ledger = LegacyTemporalLedger(three_level_tree(SPEC), windows)
-            started = time.perf_counter()
-            _replay(old_ledger, trace, node_of)
-            best_old = min(best_old, time.perf_counter() - started)
-
-            new_ledger = TemporalLedger(three_level_tree(SPEC), windows)
-            started = time.perf_counter()
-            _replay(new_ledger, trace, node_of)
-            best_new = min(best_new, time.perf_counter() - started)
-        assert _plane_state(
-            old_ledger, old_ledger.topology, windows
-        ) == _plane_state(new_ledger, new_ledger.topology, windows), (
-            f"W={windows}: replayed plane reservations diverged"
-        )
-        rows.append(
-            {
-                "windows": windows,
-                "tenants": tenant_count,
-                "trace_ops": len(trace),
-                "old_ms": round(best_old * 1e3, 3),
-                "new_ms": round(best_new * 1e3, 3),
-                "ledger_speedup": round(best_old / best_new, 2),
-                "old_admit_ms": round(old_admit_s * 1e3, 3),
-                "new_admit_ms": round(new_admit_s * 1e3, 3),
-                "admit_speedup": round(old_admit_s / new_admit_s, 2),
-            }
-        )
-    return rows
-
-
-# ----------------------------------------------------------------------
-# Max-min / enforcement: Fig. 13 partitioning at growing sender counts
-# ----------------------------------------------------------------------
-
-
-def _fig13_inputs(senders: int, guarantee: float = 450.0):
-    """The exact Fig. 13 TAG + flow set at ``senders`` C2 senders."""
-    tag = Tag("fig13")
-    tag.add_component("C1", size=1)
-    tag.add_component("C2", size=max(2, senders + 1))
-    tag.add_edge("C1", "C2", send=guarantee, recv=guarantee)
-    tag.add_self_loop("C2", guarantee)
-    capacities = {"into-Z": 1000.0}
-    flows = [PairFlow("C1", 0, "C2", 0, links=("into-Z",))]
-    legacy = [LegacyPairFlow("C1", 0, "C2", 0, links=("into-Z",))]
-    for sender in range(senders):
-        flows.append(PairFlow("C2", sender + 1, "C2", 0, links=("into-Z",)))
-        legacy.append(
-            LegacyPairFlow("C2", sender + 1, "C2", 0, links=("into-Z",))
-        )
-    return tag, flows, legacy, capacities
-
-
-def _bench_enforcement() -> tuple[list[dict], list[dict]]:
-    enforce_rows = []
-    sender_ladder = _env_ints("REPRO_BENCH_FIG13_SENDERS", "50,200,800")
-    for senders in sender_ladder:
-        tag, flows, legacy_flows, capacities = _fig13_inputs(senders)
+def _bench_enforcement() -> dict:
+    out = {}
+    for senders in (50, 200, 800):
+        tag, flows, capacities = fig13_inputs(senders)
         for mode in ("tag", "hose"):
-            repeats = 5 if senders <= 200 else 3
-            best_old = best_new = math.inf
-            for _ in range(repeats):
-                started = time.perf_counter()
-                old = legacy_enforce(tag, legacy_flows, capacities, mode=mode)
-                best_old = min(best_old, time.perf_counter() - started)
-                started = time.perf_counter()
-                new = enforce(tag, flows, capacities, mode=mode)
-                best_new = min(best_new, time.perf_counter() - started)
-            assert old.guarantees == new.guarantees, (
-                f"{senders}@{mode}: guarantees diverged from the frozen stack"
+            seconds = _best_seconds(
+                lambda: enforce(tag, flows, capacities, mode=mode),
+                repeats=5 if senders <= 200 else 3,
             )
-            assert old.rates == new.rates, (
-                f"{senders}@{mode}: rates diverged from the frozen stack"
-            )
-            enforce_rows.append(
-                {
-                    "senders": senders,
-                    "mode": mode,
-                    "flows": len(flows),
-                    "old_ms": round(best_old * 1e3, 3),
-                    "new_ms": round(best_new * 1e3, 3),
-                    "speedup": round(best_old / best_new, 2),
-                }
-            )
+            out[f"enforce_{mode}_{senders}"] = {
+                "flows": len(flows),
+                "ms": round(seconds * 1e3, 3),
+                "flows_per_sec": round(len(flows) / seconds, 1),
+            }
 
-    extra_rows = []
-    # Raw kernel in the round-per-flow regime: a parking-lot chain of
-    # distinct bottlenecks (each flow crosses three consecutive links).
-    n = max(sender_ladder)
+    n = 800
     chain_caps = {i: 100.0 + 7.0 * i for i in range(n)}
-    chain_flows = [
-        FlowSpec(tuple(range(i, min(i + 3, n)))) for i in range(n)
-    ]
-    chain_legacy = [
-        LegacyFlowSpec(tuple(range(i, min(i + 3, n)))) for i in range(n)
-    ]
-    best_old = best_new = math.inf
-    for _ in range(3):
-        started = time.perf_counter()
-        old_rates = legacy_maxmin_rates(chain_legacy, chain_caps)
-        best_old = min(best_old, time.perf_counter() - started)
-        started = time.perf_counter()
-        new_rates = maxmin_rates(chain_flows, chain_caps)
-        best_new = min(best_new, time.perf_counter() - started)
-    assert old_rates == new_rates, "chain kernel rates diverged"
-    extra_rows.append(
-        {
-            "case": f"maxmin_chain_{n}",
-            "old_ms": round(best_old * 1e3, 3),
-            "new_ms": round(best_new * 1e3, 3),
-            "speedup": round(best_old / best_new, 2),
-        }
-    )
+    chain_flows = [FlowSpec(tuple(range(i, min(i + 3, n)))) for i in range(n)]
+    seconds = _best_seconds(lambda: maxmin_rates(chain_flows, chain_caps), 3)
+    out[f"maxmin_chain_{n}"] = {
+        "flows": n,
+        "ms": round(seconds * 1e3, 3),
+        "flows_per_sec": round(n / seconds, 1),
+    }
 
-    # Dynamics control loop: the cached incidence pays every period.
-    senders = max(sender_ladder) // 4
-    periods = 30
-    tag, flows, legacy_flows, capacities = _fig13_inputs(senders)
-    old_dyn = LegacyDynamics(tag, capacities, mode="tag")
-    new_dyn = ElasticSwitchDynamics(tag, capacities, mode="tag")
-    for flow in legacy_flows:
-        old_dyn.add_flow(flow)
-    for flow in flows:
-        new_dyn.add_flow(flow)
-    started = time.perf_counter()
-    old_samples = old_dyn.run(periods)
-    old_s = time.perf_counter() - started
-    started = time.perf_counter()
-    new_samples = new_dyn.run(periods)
-    new_s = time.perf_counter() - started
-    assert old_samples[-1].rates == new_samples[-1].rates, (
-        "dynamics rates diverged from the frozen stack"
-    )
-    extra_rows.append(
-        {
-            "case": f"dynamics_{senders}x{periods}",
-            "old_ms": round(old_s * 1e3, 3),
-            "new_ms": round(new_s * 1e3, 3),
-            "speedup": round(old_s / new_s, 2),
-        }
-    )
-    return enforce_rows, extra_rows
+    senders, periods = 200, 30
+    tag, flows, capacities = fig13_inputs(senders)
+
+    def run_dynamics():
+        dynamics = ElasticSwitchDynamics(tag, capacities, mode="tag")
+        for flow in flows:
+            dynamics.add_flow(flow)
+        dynamics.run(periods)
+
+    seconds = _best_seconds(run_dynamics, repeats=3)
+    out[f"dynamics_{senders}x{periods}"] = {
+        "periods": periods,
+        "ms": round(seconds * 1e3, 3),
+        "periods_per_sec": round(periods / seconds, 1),
+    }
+    return out
 
 
-def test_temporal_enforcement_before_after():
-    temporal_rows = _bench_temporal()
-    enforce_rows, extra_rows = _bench_enforcement()
-
-    # Headline ratios, both at the ladder tops (the placement-core
-    # bench's largest-size convention): the ledger replay speedup at the
-    # largest window count, and the worst-mode Fig. 13 enforcement
-    # speedup at the largest sender count.
-    largest_windows = max(row["windows"] for row in temporal_rows)
-    temporal_headline = next(
-        row["ledger_speedup"]
-        for row in temporal_rows
-        if row["windows"] == largest_windows
-    )
-    largest_senders = max(row["senders"] for row in enforce_rows)
-    maxmin_headline = min(
-        row["speedup"]
-        for row in enforce_rows
-        if row["senders"] == largest_senders
-    )
-
-    temporal_floor = float(
-        os.environ.get("REPRO_BENCH_TEMPORAL_MIN_SPEEDUP", "3.0")
-    )
-    maxmin_floor = float(os.environ.get("REPRO_BENCH_MAXMIN_MIN_SPEEDUP", "3.0"))
+def test_temporal_enforcement_throughput():
     report = {
         "benchmark": "temporal_enforcement_core",
-        "temporal": {
-            "rows": temporal_rows,
-            "largest_windows": largest_windows,
-            "ledger_speedup_at_largest": temporal_headline,
-        },
-        "maxmin": {
-            "enforce_rows": enforce_rows,
-            "extra_rows": extra_rows,
-            "largest_senders": largest_senders,
-            "enforce_speedup_at_largest": maxmin_headline,
-        },
+        "temporal": _bench_temporal(),
+        "maxmin": _bench_enforcement(),
         "python": platform.python_version(),
     }
     OUTPUT.write_text(json.dumps(report, indent=2) + "\n")
     print(json.dumps(report, indent=2))
-
-    assert temporal_headline >= temporal_floor, (
-        f"temporal ledger replay speedup regressed to {temporal_headline:.2f}x"
-    )
-    assert maxmin_headline >= maxmin_floor, (
-        f"Fig. 13 enforcement speedup regressed to {maxmin_headline:.2f}x"
-    )

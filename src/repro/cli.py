@@ -204,6 +204,7 @@ _FLAG_AXES = (
     ("placers", "placers"),
     ("pods", "pods"),
     ("arrivals", "arrivals"),
+    ("pool", "pool"),
 )
 
 
@@ -218,8 +219,8 @@ def _apply_overrides(scenario: Scenario, args: argparse.Namespace) -> Scenario:
     """``scenario`` with the parsed overrides applied.
 
     Raises :class:`UsageError` for a flag the scenario would silently
-    ignore — a grid axis its kind does not consume, ``--xs`` or
-    ``--pool`` on a scenario without that field — and for a ``--param``
+    ignore — a grid axis or tenant pool its kind does not consume, or
+    ``--xs`` on a scenario without an x-axis — and for a ``--param``
     key the scenario does not declare or a value of the wrong type.
     """
     supported = kind_axes(scenario.kind)
@@ -230,8 +231,6 @@ def _apply_overrides(scenario: Scenario, args: argparse.Namespace) -> Scenario:
     ]
     if args.xs is not None and scenario.xs == (None,):
         unsupported.append("--xs")
-    if args.pool is not None and not scenario.pool:
-        unsupported.append("--pool")
     if unsupported:
         raise UsageError(
             f"{', '.join(unsupported)} would have no effect on "

@@ -6,8 +6,9 @@ ElasticSwitch model: once over *virtual* guarantee links (guarantee
 partitioning) and once over physical links (work-conserving rate
 allocation), and once more to model TCP's own max-min behaviour.
 
-The public :func:`maxmin_rates` surface is unchanged from the scalar
-implementation (frozen under ``benchmarks/_legacy/maxmin.py``), but the
+The public :func:`maxmin_rates` surface is unchanged from the seed's
+scalar implementation (``reference_maxmin`` in
+``tests/enforcement/test_maxmin_equivalence.py`` reproduces it), but the
 engine underneath is rebuilt on arrays: link ids are interned to dense
 integers **once**, the flow×link incidence becomes sparse CSR-style
 entry arrays (one entry per crossing, so multiplicity is preserved),
@@ -19,7 +20,9 @@ round.  The freezing and tie semantics — a link at residual
 epsilon of its limit freezes itself, and a stalled round freezes
 everything — are exactly the scalar kernel's, and the floating-point
 operations are element-for-element identical, so the rates are
-bit-identical to the legacy code (a lockstep property test pins this).
+bit-identical to the scalar kernel's.  The lockstep property test there
+and the SHA-256 pins in ``tests/test_pinned_digests.py`` (Fig. 13
+enforcement, a parking-lot chain, the dynamics loop) hold this.
 
 Callers that already know their link structure (ElasticSwitch's
 guarantee partitioning) can skip the hashing entirely: build a

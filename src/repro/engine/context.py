@@ -120,7 +120,7 @@ class TrialContext:
     manager: ClusterManager
 
 
-def build_context(trial: Trial, *, collect_wcs: bool = True) -> TrialContext:
+def build_context(trial: Trial) -> TrialContext:
     """Construct the mutable simulation state for one trial.
 
     The scaled pool and topology come from the process-wide caches; the
@@ -131,7 +131,5 @@ def build_context(trial: Trial, *, collect_wcs: bool = True) -> TrialContext:
     topology = get_topology(trial.topology.spec)
     ledger = Ledger(topology)
     placer = make_placer(trial.variant.placer, ledger, trial.variant.ha)
-    manager = ClusterManager(
-        ledger, placer, laa_level=trial.laa_level, collect_wcs=collect_wcs
-    )
+    manager = ClusterManager(ledger, placer, laa_level=trial.laa_level)
     return TrialContext(pool, topology, ledger, placer, manager)

@@ -323,7 +323,9 @@ RUNNERS: dict[str, Callable[[Trial], Any]] = {
     "survey": run_survey_trial,
 }
 
-_ALL_AXES = frozenset({"seeds", "loads", "bmaxes", "placers", "pods", "arrivals"})
+_ALL_AXES = frozenset(
+    {"seeds", "loads", "bmaxes", "placers", "pods", "arrivals", "pool"}
+)
 
 # Which generic grid axes each kind actually consumes.  The CLI uses
 # this to reject overrides that would be silent no-ops (e.g.
@@ -331,8 +333,8 @@ _ALL_AXES = frozenset({"seeds", "loads", "bmaxes", "placers", "pods", "arrivals"
 # rejection regardless).
 KIND_AXES: dict[str, frozenset[str]] = {
     "rejection": _ALL_AXES,
-    "reserved": frozenset({"seeds", "bmaxes", "pods"}),
-    "inference": frozenset({"seeds"}),
+    "reserved": frozenset({"seeds", "bmaxes", "pods", "pool"}),
+    "inference": frozenset({"seeds", "pool"}),
     "runtime": frozenset({"placers", "pods"}),
     # Enforcement kinds compare abstraction modes: the variant axis IS
     # the tag/hose mode, so --placers is meaningful.

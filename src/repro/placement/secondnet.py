@@ -57,9 +57,6 @@ class PipeAllocation:
             self._pipes = pipes_from_tag(self.tag)
         return self._pipes
 
-    def record_reservation(self, node: Node, up: float, down: float) -> None:
-        self.record_reservation_id(node.node_id, up, down)
-
     def record_reservation_id(self, node_id: int, up: float, down: float) -> None:
         entry = self._reserved[node_id]
         entry[0] += up

@@ -274,9 +274,6 @@ class TenantAllocation:
         counts = self._counts.get(node_id)
         return 0 if counts is None else counts.get(tier, 0)
 
-    def counts_under(self, node: Node) -> Mapping[str, int]:
-        return dict(self._counts.get(node.node_id, {}))
-
     def reserved_on(self, node: Node) -> BandwidthDemand:
         """This tenant's current reservation on ``node``'s uplink."""
         return BandwidthDemand(*self._reserved.get(node.node_id, _ZERO))

@@ -199,7 +199,7 @@ class StreamingServiceMetrics:
         "last_bw_utilization",
     )
 
-    def __init__(self, *, window: int = 1024) -> None:
+    def __init__(self) -> None:
         self.arrivals = 0
         self.accepted = 0
         self.rejected = 0
@@ -211,7 +211,7 @@ class StreamingServiceMetrics:
         self.cohorts = 0
         self.max_cohort = 0
         self.place_latency = LatencyHistogram()
-        self.window = RejectionWindow(window)
+        self.window = RejectionWindow()
         self.util_samples = 0
         self.mean_slot_utilization = 0.0
         self.last_slot_utilization = 0.0
@@ -268,9 +268,7 @@ class ServiceLoop:
         *,
         cohort: int = 64,
         heartbeat: int = 4096,
-        window: int = 1024,
         progress=None,
-        collect_utilization: bool = True,
         on_decision: Callable[[bool], None] | None = None,
     ) -> None:
         if cohort < 1:
@@ -285,9 +283,8 @@ class ServiceLoop:
         self.cohort = cohort
         self.heartbeat = heartbeat
         self.progress = progress
-        self.collect_utilization = collect_utilization
         self.on_decision = on_decision
-        self.metrics = StreamingServiceMetrics(window=window)
+        self.metrics = StreamingServiceMetrics()
         # Per-tag scalars the hot loop would otherwise re-derive from
         # Tag properties on every arrival.
         self._sizes = [tag.size for tag in self.pool]
@@ -408,14 +405,11 @@ class ServiceLoop:
     def _beat(self, events_done: int) -> None:
         """Heartbeat boundary: sample utilization, refresh gauges, tick."""
         metrics = self.metrics
-        if self.collect_utilization:
-            slot_fraction = 1.0 - self.ledger.free_slots_id(self._root_id) / (
-                self._total_slots
-            )
-            bw_fraction = (
-                self._bw_fraction() if self._bw_fraction is not None else 0.0
-            )
-            metrics.sample_utilization(slot_fraction, bw_fraction)
+        slot_fraction = 1.0 - self.ledger.free_slots_id(self._root_id) / (
+            self._total_slots
+        )
+        bw_fraction = self._bw_fraction() if self._bw_fraction is not None else 0.0
+        metrics.sample_utilization(slot_fraction, bw_fraction)
         c = _obs.counters
         if c is not None:
             # Gauges (assignment, not bump): the O(1)-memory claim and

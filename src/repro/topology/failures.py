@@ -114,10 +114,6 @@ class FailureMask:
     def failed_nodes(self) -> frozenset[int]:
         return frozenset(self.failed)
 
-    def alive_subtree_slots(self, node_id: int) -> int:
-        """Slot capacity of the subtree, excluding down servers."""
-        return self.flat.subtree_slots[node_id] - self.masked_subtree[node_id]
-
     # ------------------------------------------------------------------
     # mutations (journalled)
     # ------------------------------------------------------------------

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterator
 
 from repro import _kernels
 from repro.core.constants import EPSILON
@@ -124,10 +123,6 @@ class SlotAccountingMixin:
         """Failure-state generation counter (0 while no mask exists)."""
         mask = self._failure_mask
         return 0 if mask is None else mask.version
-
-    def slot_capacity_id(self, server_id: int) -> int:
-        """Effective slot capacity: ``flat.slots`` unless masked down."""
-        return self.slot_cap[server_id]
 
     def alive_subtree_slots_id(self, node_id: int) -> int:
         """Subtree slot capacity excluding failed servers."""
@@ -305,17 +300,6 @@ class Ledger(SlotAccountingMixin):
             for node_id in self.flat.level_ids[level]
             if node_id != root_id
         )
-
-    def iter_utilization(self) -> Iterator[tuple[Node, float, float]]:
-        """Yield ``(node, up_fraction, down_fraction)`` for capacity links."""
-        for node in self._topology.nodes:
-            if node.is_root or math.isinf(node.uplink_up):
-                continue
-            yield (
-                node,
-                self._used_up[node.node_id] / node.uplink_up,
-                self._used_down[node.node_id] / node.uplink_down,
-            )
 
     def server_bandwidth_fraction(self) -> float:
         """Reserved fraction of finite server uplink capacity (up direction).

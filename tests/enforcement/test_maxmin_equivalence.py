@@ -1,8 +1,10 @@
 """Randomized equivalence: vectorized max-min kernel vs the seed scalar.
 
 ``reference_maxmin`` below is a line-for-line reimplementation of the
-pre-PR-5 scalar kernel (per-round dict-based link incidence, Python-set
-freezing) — the same code frozen under ``benchmarks/_legacy/maxmin.py``.
+seed scalar kernel (per-round dict-based link incidence, Python-set
+freezing).  ``tests/test_pinned_digests.py`` complements it with
+SHA-256 pins of the exact Fig. 13, parking-lot chain and dynamics
+outputs that kernel produced.
 The property tests drive it in lockstep with the live vectorized
 :func:`repro.enforcement.maxmin.maxmin_rates` over randomized flow sets
 and assert **bit-identical** rates (no tolerance): the vectorized rounds

@@ -52,7 +52,7 @@ class TestEngineDeterminism:
             assert s_result.payload.bw_rejected == p_result.payload.bw_rejected
             assert s_result.payload.wcs.values == p_result.payload.wcs.values
 
-    def test_engine_matches_legacy_simulate_rejections(self):
+    def test_engine_matches_direct_simulate_rejections(self):
         """The engine's cached-context path reproduces the direct API."""
         trial_result = Engine().run(
             TINY.override(loads=(0.4,), seeds=(3,), variants=(Variant("cm"),))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +23,9 @@ from repro._kernels import (
     pyref,
     use_backend,
 )
+
+# The subprocesses import ``repro`` from this checkout's ``src``.
+REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
 class TestSelectBackend:
@@ -118,7 +122,7 @@ class TestImportTimeSelection:
             capture_output=True,
             text=True,
             env=env,
-            cwd="/root/repo",
+            cwd=REPO_ROOT,
         )
         assert out.returncode == 0, out.stderr
         return out.stdout.strip()
@@ -147,7 +151,7 @@ class TestImportTimeSelection:
             capture_output=True,
             text=True,
             env=env,
-            cwd="/root/repo",
+            cwd=REPO_ROOT,
         )
         assert out.returncode != 0
         assert "fancy" in out.stderr

@@ -226,7 +226,7 @@ class TestDirtyBits:
 
 
 class TestRackOrder:
-    def test_rack_candidates_match_legacy_rebuild(self, churn_setup):
+    def test_rack_candidates_match_full_rebuild(self, churn_setup):
         topology, ledger, index = churn_setup
         index.track_racks()
         rng = random.Random(23)

@@ -120,6 +120,7 @@ def test_params_combine_and_keep_declared_order():
         (["run", "fig08", "--xs", "1,2"], "--xs would have no effect"),
         (["run", "fig13", "--pool", "bing"], "--pool would have no effect"),
         (["fig13", "--pool", "bing"], "--pool would have no effect"),
+        (["run", "runtime", "--pool", "hpcloud"], "--pool would have no effect"),
     ],
 )
 def test_bad_override_exits_2_without_traceback(argv, message, capsys):
@@ -127,6 +128,15 @@ def test_bad_override_exits_2_without_traceback(argv, message, capsys):
     captured = capsys.readouterr()
     assert message in captured.out
     assert "Traceback" not in captured.out + captured.err
+
+
+# table1's --pool is pinned above as the retired --workload spelling.
+@pytest.mark.parametrize("name", ["fig08", "inference", "service"])
+def test_pool_override_on_kinds_that_read_it(name):
+    scenario = _resolve([name, "--pool", "hpcloud"])
+    expected = registry.get(name).scenario.override(pool="hpcloud")
+    assert scenario == expected
+    assert _trial_fingerprints(scenario) == _trial_fingerprints(expected)
 
 
 def test_unknown_pool_is_an_argparse_error(capsys):

@@ -461,7 +461,7 @@ def walk_servers(node: Node):
             stack.extend(current.children)
 
 
-def test_servers_under_preserves_legacy_order():
+def test_servers_under_preserves_seed_order():
     """The span-backed iteration yields the seed's explicit-stack order."""
     topology = TOPOLOGIES["tree"]()
     for node in topology.nodes:

@@ -20,10 +20,12 @@ model + placement strategy rather than bookkeeping details.
 
 from __future__ import annotations
 
-import math
+import weakref
+from operator import itemgetter
+from typing import NamedTuple
 
 from repro.core.tag import Tag
-from repro.models.voc import VocCluster, VocModel, voc_from_tag, voc_uplink_requirement
+from repro.models.voc import voc_from_tag, voc_uplink_requirement
 from repro.placement.base import Placement, PlacementResult, Rejection
 from repro.placement.ha import HaPolicy, tier_cap_left
 from repro.placement.state import TenantAllocation
@@ -31,6 +33,44 @@ from repro.topology.ledger import Ledger
 from repro.topology.tree import Node
 
 __all__ = ["OktopusPlacer"]
+
+
+class _Cluster(NamedTuple):
+    """One VOC cluster as the VC walk sees it."""
+
+    name: str
+    size: int
+    bandwidth: float  # per-VM hose: intra-cluster plus inter-cluster
+
+
+# Per-tag cluster plans, keyed weakly like the compiled requirements in
+# repro.placement.state: the figure loops place the same ~80 pool tags
+# thousands of times, and a plan is a pure function of the tag.
+_PLAN_CACHE: "weakref.WeakKeyDictionary[Tag, tuple[_Cluster, ...]]" = (
+    weakref.WeakKeyDictionary()
+)
+
+_FREE = itemgetter(0)
+
+
+def _cluster_plan(tag: Tag) -> tuple[_Cluster, ...]:
+    """The VOC clusters of ``tag`` in placement order, biggest demand first.
+
+    A VM's hose must carry its intra-cluster and inter-cluster traffic
+    (Fig. 2(b): the hose aggregates all destinations), so the per-VM
+    bandwidth the VC placement reasons about is ``hose_bw +
+    max(core_out, core_in)``; demand is ``size * bandwidth``, ties broken
+    by size and then by TAG component order.
+    """
+    plan = _PLAN_CACHE.get(tag)
+    if plan is None:
+        clusters = [
+            _Cluster(c.name, c.size, c.hose_bw + max(c.core_out, c.core_in))
+            for c in voc_from_tag(tag).clusters
+        ]
+        clusters.sort(key=lambda c: (c.size * c.bandwidth, c.size), reverse=True)
+        plan = _PLAN_CACHE[tag] = tuple(clusters)
+    return plan
 
 
 class OktopusPlacer:
@@ -53,12 +93,12 @@ class OktopusPlacer:
     def place(self, tag: Tag) -> PlacementResult:
         if tag.size > self.ledger.free_slots(self.topology.root):
             return Rejection(tag, "not enough free VM slots in the datacenter")
-        voc = voc_from_tag(tag)
+        plan = _cluster_plan(tag)
         allocation = TenantAllocation(tag, self.ledger, voc_uplink_requirement)
         subtree = self._find_lowest_subtree(tag)
         while subtree is not None:
             savepoint = allocation.savepoint()
-            if self._alloc_tenant(allocation, voc, subtree):
+            if self._alloc_tenant(allocation, plan, subtree):
                 if not self.ledger.has_overcommit() and allocation.finalize(subtree):
                     return Placement(allocation)
             allocation.rollback(savepoint)
@@ -94,17 +134,15 @@ class OktopusPlacer:
         return None
 
     def _alloc_tenant(
-        self, allocation: TenantAllocation, voc: VocModel, subtree: Node
+        self,
+        allocation: TenantAllocation,
+        plan: tuple[_Cluster, ...],
+        subtree: Node,
     ) -> bool:
-        """Place every cluster under ``subtree``, biggest demand first."""
-        clusters = sorted(
-            voc.clusters,
-            key=lambda c: (c.size * self._cluster_bw(c), c.size),
-            reverse=True,
-        )
-        for cluster in clusters:
+        """Place every cluster of ``plan`` under ``subtree``, in order."""
+        for cluster in plan:
             placed = self._alloc_cluster(
-                allocation, cluster, cluster.size, subtree, subtree
+                allocation, cluster, cluster.size, subtree.node_id, subtree
             )
             if placed < cluster.size:
                 return False
@@ -112,160 +150,100 @@ class OktopusPlacer:
                 return False
         return True
 
-    @staticmethod
-    def _cluster_bw(cluster: VocCluster) -> float:
-        """Per-VM hose bandwidth the VC placement reasons about.
-
-        A VM's hose must carry its intra-cluster and inter-cluster traffic
-        (Fig. 2(b): the hose aggregates all destinations).
-        """
-        return cluster.hose_bw + max(cluster.core_out, cluster.core_in)
-
     def _alloc_cluster(
         self,
         allocation: TenantAllocation,
-        cluster: VocCluster,
+        cluster: _Cluster,
         want: int,
-        node: Node,
+        node_id: int,
         ceiling: Node,
     ) -> int:
         """Greedy Oktopus allocation of ``want`` VMs of one cluster.
 
         Prefers a single child that can host the whole remainder (best-fit
         to keep large holes intact), otherwise fills children in
-        decreasing free-slot order under the hose feasibility constraint.
+        decreasing free-slot order under the VC hose constraint: a
+        subtree holding ``m`` of the cluster's ``N`` VMs must carry
+        ``min(m, N - m) * B`` on its uplink.  That crossing first rises
+        with ``m`` then falls, so a child takes either every VM it is
+        offered or the low ascending range ``available / B - here``.
         Returns the number of VMs placed.
         """
         ledger = self.ledger
         flat = ledger.flat
-        if node.is_server:
-            node_id = node.node_id
-            free = ledger.slot_cap[node_id] - ledger.used_slots_id(node_id)
-            cap = tier_cap_left(self.ha, allocation, node, cluster.name)
-            count = min(want, free, cap)
-            if count <= 0:
-                return 0
-            if not allocation.place(node, cluster.name, count, ceiling):
+        tier, size, bandwidth = cluster
+        ha = self.ha
+        guarded = ha.guarantees_wcs
+        if flat.is_server[node_id]:
+            count = min(want, ledger.slot_cap[node_id] - ledger.used_slots_id(node_id))
+            server = flat.node_of[node_id]
+            if guarded:
+                count = min(count, tier_cap_left(ha, allocation, server, tier))
+            if count <= 0 or not allocation.place(server, tier, count, ceiling):
                 return 0
             return count
-        placed = 0
-        # Id-keyed sort (stable, so free-slot ties keep child order).
-        node_of = flat.node_of
-        children = [
-            node_of[child_id]
-            for child_id in sorted(
-                flat.children_ids[node.node_id],
-                key=ledger.free_slots_id,
-                reverse=True,
-            )
-        ]
-        # The whole-remainder filter dedups children in identical
-        # reservation states (same free slots, same cluster count, same
-        # availability): the hose-feasibility answer is a function of
-        # exactly those, and both the filter and the min() below keep
-        # the first member of every class, so skipping later members
-        # cannot change the chosen target.
-        whole = []
-        seen: set = set()
-        for child in children:
-            child_id = child.node_id
-            free = ledger.free_slots_id(child_id)
+        available_up_id = ledger.available_up_id
+        available_down_id = ledger.available_down_id
+        count_id = allocation.count_id
+        children = flat.children_ids[node_id]
+        # (free, child) by free slots, most first; the sort is stable, so
+        # ties keep child order.  Only the child being filled changes, so
+        # every later child still holds its free count from here.
+        ranked = sorted(
+            zip(map(ledger.free_slots_id, children), children),
+            key=_FREE,
+            reverse=True,
+        )
+        # Best-fit whole-remainder target: the first hose-feasible child
+        # of the smallest free count that still holds ``want`` (a later
+        # child of the target's free count cannot displace it).
+        target = -1
+        best = 0
+        for position, (free, child_id) in enumerate(ranked):
             if free < want:
-                continue
-            key = (
-                free,
-                allocation.count_id(child_id, cluster.name),
-                ledger.available_up_id(child_id),
-                ledger.available_down_id(child_id),
-            )
-            if key in seen:
-                continue
-            seen.add(key)
-            if self._hose_feasible(allocation, cluster, child, want):
-                whole.append(child)
-        if whole:
-            free_slots_id = ledger.free_slots_id
-            target = min(whole, key=lambda c: free_slots_id(c.node_id))
-            children = [target] + [c for c in children if c is not target]
-        # Children are attempted in order with state mutating only when
-        # VMs land.  ``_max_feasible`` is a function of the same class
-        # key (Eq. 7 ancestors are shared among siblings), so between
-        # placements, children equivalent to one that already reported
-        # nothing feasible are skipped; any successful placement shrinks
-        # the remaining want and invalidates the skip set.
-        infeasible: set = set()
-        for child in children:
-            if placed >= want:
                 break
-            child_id = child.node_id
-            key = (
-                ledger.free_slots_id(child_id),
-                allocation.count_id(child_id, cluster.name),
-                ledger.available_up_id(child_id),
-                ledger.available_down_id(child_id),
-            )
-            if key in infeasible:
+            if target >= 0 and free >= best:
                 continue
-            feasible = self._max_feasible(allocation, cluster, child, want - placed)
-            if feasible <= 0:
-                infeasible.add(key)
-                continue
-            got = self._alloc_cluster(
-                allocation, cluster, feasible, child, ceiling
-            )
+            if bandwidth:
+                here = count_id(child_id, tier) + want
+                crossing = min(here, size - here) * bandwidth
+                if crossing and crossing > min(
+                    max(0.0, available_up_id(child_id)),
+                    max(0.0, available_down_id(child_id)),
+                ):
+                    continue
+            target = position
+            best = free
+        if target > 0:
+            ranked.insert(0, ranked.pop(target))
+        placed = 0
+        for free, child_id in ranked:
+            if free <= 0:  # so is every later child
+                break
+            count = want - placed
+            if free < count:
+                count = free
+            if guarded:
+                cap = tier_cap_left(ha, allocation, flat.node_of[child_id], tier)
+                if cap < count:
+                    if cap <= 0:
+                        continue
+                    count = cap
+            if bandwidth:
+                here = count_id(child_id, tier)
+                crossing = min(here + count, size - here - count) * bandwidth
+                if crossing:
+                    available = min(
+                        max(0.0, available_up_id(child_id)),
+                        max(0.0, available_down_id(child_id)),
+                    )
+                    if crossing > available:
+                        count = min(count, int(available / bandwidth) - here)
+                        if count <= 0:
+                            continue
+            got = self._alloc_cluster(allocation, cluster, count, child_id, ceiling)
             if got:
                 placed += got
-                infeasible.clear()
+                if placed >= want:
+                    break
         return placed
-
-    def _hose_feasible(
-        self,
-        allocation: TenantAllocation,
-        cluster: VocCluster,
-        child: Node,
-        extra: int,
-    ) -> bool:
-        bandwidth = self._cluster_bw(cluster)
-        if bandwidth == 0.0:
-            return True
-        child_id = child.node_id
-        here = allocation.count_id(child_id, cluster.name) + extra
-        crossing = min(here, cluster.size - here) * bandwidth
-        ledger = self.ledger
-        available = min(
-            max(0.0, ledger.available_up_id(child_id)),
-            max(0.0, ledger.available_down_id(child_id)),
-        )
-        return crossing <= available
-
-    def _max_feasible(
-        self,
-        allocation: TenantAllocation,
-        cluster: VocCluster,
-        child: Node,
-        want: int,
-    ) -> int:
-        """Largest VM count placeable under ``child`` per the VC constraint.
-
-        The hose crossing ``min(m, N - m) * B`` first rises with ``m`` then
-        falls; Oktopus accepts either the low ascending range or, when the
-        remainder fits entirely, the descending range.
-        """
-        child_id = child.node_id
-        free = self.ledger.free_slots_id(child_id)
-        cap = tier_cap_left(self.ha, allocation, child, cluster.name)
-        count = min(want, free, cap)
-        if count <= 0:
-            return 0
-        if self._hose_feasible(allocation, cluster, child, count):
-            return count
-        bandwidth = self._cluster_bw(cluster)
-        here = allocation.count_id(child_id, cluster.name)
-        available = min(
-            max(0.0, self.ledger.available_up_id(child_id)),
-            max(0.0, self.ledger.available_down_id(child_id)),
-        )
-        if bandwidth == 0.0 or math.isinf(available):
-            return count
-        ascending = int(available / bandwidth) - here
-        return max(0, min(count, ascending))

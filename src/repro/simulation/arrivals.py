@@ -10,6 +10,7 @@ tenant-rate times dwell time over total slots.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -186,9 +187,10 @@ def trace_arrivals(
 ) -> Iterator[Arrival]:
     """Adapt a recorded ``(time, tenant_index, dwell)`` trace to Arrivals.
 
-    Validates what the event loops rely on — non-decreasing times,
-    positive dwells, in-range tenant indices — one event at a time, so
-    an arbitrarily long trace file can be generated through without
+    Validates what the event loops rely on — finite, non-decreasing
+    times, positive dwells (NaN is not positive; an infinite dwell never
+    departs), in-range tenant indices — one event at a time, so an
+    arbitrarily long trace file can be generated through without
     materialization.
     """
     last = -np.inf
@@ -196,11 +198,13 @@ def trace_arrivals(
         time = float(time)
         tenant_index = int(tenant_index)
         dwell = float(dwell)
+        if not math.isfinite(time):
+            raise SimulationError(f"trace times must be finite, got {time}")
         if time < last:
             raise SimulationError(
                 f"trace times must be non-decreasing ({time} after {last})"
             )
-        if dwell <= 0:
+        if not dwell > 0:
             raise SimulationError(f"trace dwell must be positive, got {dwell}")
         if tenant_index < 0 or (pool_size is not None and tenant_index >= pool_size):
             raise SimulationError(f"trace tenant index {tenant_index} out of range")

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from repro.core.tag import Tag
+from repro.errors import SimulationError
 from repro.obs import core as obs
 from repro.placement.base import Placement, Rejection
 from repro.placement.ha import allocation_wcs
@@ -20,6 +21,14 @@ from repro.simulation.metrics import RunMetrics, UtilizationSample
 from repro.topology.ledger import Ledger
 
 __all__ = ["ClusterManager", "run_arrival_departure", "run_arrivals_until_full"]
+
+
+def unexpected_result(placer, result) -> SimulationError:
+    """The error an event loop raises when a placer breaks its protocol."""
+    return SimulationError(
+        f"{type(placer).__name__}.place returned {type(result).__name__}, "
+        "expected a Placement or a Rejection"
+    )
 
 
 @dataclass(frozen=True)
@@ -73,7 +82,8 @@ class ClusterManager:
             self.metrics.record_rejection(tag.size, tag.total_bandwidth)
             self._sample_utilization()
             return result
-        assert isinstance(result, Placement)
+        if not isinstance(result, Placement):
+            raise unexpected_result(self.placer, result)
         self._active[id(result.allocation)] = result.allocation
         if self.collect_wcs:
             self._sample_wcs(result.allocation)

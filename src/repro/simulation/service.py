@@ -56,6 +56,7 @@ from repro.errors import SimulationError
 from repro.obs import core as _obs
 from repro.placement.base import Placement, Rejection
 from repro.simulation.arrivals import Arrival
+from repro.simulation.cluster import unexpected_result
 
 __all__ = [
     "LatencyHistogram",
@@ -364,8 +365,7 @@ class ServiceLoop:
                         window_add(True)
                         if on_decision is not None:
                             on_decision(False)
-                    else:
-                        assert isinstance(result, Placement)
+                    elif isinstance(result, Placement):
                         sequence += 1
                         heappush(
                             departures,
@@ -379,6 +379,8 @@ class ServiceLoop:
                         window_add(False)
                         if on_decision is not None:
                             on_decision(True)
+                    else:
+                        raise unexpected_result(self.placer, result)
                 pending = next(stream, None)
             # Flush the cohort's accounting in one go.
             metrics.arrivals += batch

@@ -7,13 +7,13 @@ import math
 import pytest
 
 from repro.core.tag import Tag
-from repro.models.voc import VocCluster
+from repro.models.voc import VocCluster, voc_from_tag
 from repro.placement.cloudmirror import CloudMirrorPlacer
-from repro.placement.oktopus import OktopusPlacer
+from repro.placement.oktopus import OktopusPlacer, _cluster_plan
 from repro.placement.secondnet import SecondNetPlacer
 from repro.placement.state import TenantAllocation
 from repro.topology.builder import DatacenterSpec, three_level_tree
-from repro.topology.ledger import Ledger
+from repro.topology.ledger import Journal, Ledger
 
 
 @pytest.fixture
@@ -86,43 +86,123 @@ class TestFindTiersToColoc:
 
 
 class TestOktopusVcMath:
+    """The VC walk's per-cluster bandwidth, VC bound and child order.
+
+    The walk places under a ToR whose children are the 4-slot, 1000 Mbps
+    servers of ``small_datacenter``; each case reads the resulting
+    per-server layout.
+    """
+
     @pytest.fixture
     def oktopus(self, small_datacenter):
         ledger = Ledger(small_datacenter)
-        return small_datacenter, ledger, OktopusPlacer(ledger)
+        tor = small_datacenter.level_nodes(1)[0]
+        servers = list(tor.children)
+        return ledger, OktopusPlacer(ledger), tor, servers
+
+    @staticmethod
+    def _walk(placer, ledger, tag, want, tor):
+        allocation = TenantAllocation(tag, ledger)
+        (cluster,) = _cluster_plan(tag)
+        placed = placer._alloc_cluster(allocation, cluster, want, tor.node_id, tor)
+        layout = {
+            server.node_id: counts[cluster.name]
+            for server, counts in allocation.iter_server_placements()
+        }
+        return placed, layout
+
+    @staticmethod
+    def _hose(size: int, bandwidth: float) -> Tag:
+        tag = Tag("t")
+        tag.add_component("c", size)
+        if bandwidth:
+            tag.add_self_loop("c", bandwidth)
+        return tag
+
+    @staticmethod
+    def _fill(ledger, server, slots: int) -> None:
+        assert ledger.reserve_slots(server, slots, Journal())
 
     def test_cluster_bw_aggregates_hose_and_core(self):
-        cluster = VocCluster("c", 4, hose_bw=50.0, core_out=100.0, core_in=80.0)
-        assert OktopusPlacer._cluster_bw(cluster) == pytest.approx(150.0)
-
-    def test_max_feasible_full_fit(self, oktopus):
-        topology, ledger, placer = oktopus
         tag = Tag("t")
         tag.add_component("c", 4)
-        allocation = TenantAllocation(tag, ledger)
-        cluster = VocCluster("c", 4, 100.0, 0.0, 0.0)
-        server = topology.servers[0]
+        tag.add_component("peer", 2)
+        tag.add_self_loop("c", 50.0)
+        tag.add_edge("c", "peer", 100.0, 100.0)
+        tag.add_edge("peer", "c", 80.0, 80.0)
+        assert VocCluster("c", 4, 50.0, 100.0, 80.0) in voc_from_tag(tag).clusters
+        plan = {cluster.name: cluster for cluster in _cluster_plan(tag)}
+        assert plan["c"].bandwidth == pytest.approx(150.0)
+
+    def test_plan_is_cached_per_tag_in_demand_order(self):
+        tag = Tag("t")
+        tag.add_component("small", 2)
+        tag.add_component("big", 8)
+        tag.add_self_loop("big", 10.0)
+        plan = _cluster_plan(tag)
+        assert [cluster.name for cluster in plan] == ["big", "small"]
+        assert _cluster_plan(tag) is plan
+
+    def test_max_feasible_full_fit(self, oktopus):
+        ledger, placer, tor, servers = oktopus
         # All 4 under one server: crossing min(4,0)*100 = 0 <= NIC.
-        assert placer._max_feasible(allocation, cluster, server, 4) == 4
+        placed, layout = self._walk(placer, ledger, self._hose(4, 100.0), 4, tor)
+        assert (placed, layout) == (4, {servers[0].node_id: 4})
 
     def test_max_feasible_ascending_branch(self, oktopus):
-        topology, ledger, placer = oktopus
-        tag = Tag("t")
-        tag.add_component("c", 20)
-        allocation = TenantAllocation(tag, ledger)
-        cluster = VocCluster("c", 20, 400.0, 0.0, 0.0)
-        server = topology.servers[0]  # 4 slots, 1000 Mbps
-        # Can't host a majority (4 < 10): crossing = m*400 <= 1000 -> m <= 2.
-        assert placer._max_feasible(allocation, cluster, server, 4) == 2
+        ledger, placer, tor, servers = oktopus
+        # Can't host a majority (4 < 10): crossing = m*400 <= 1000 -> m <= 2
+        # per server, so 4 VMs take two servers.
+        placed, layout = self._walk(placer, ledger, self._hose(20, 400.0), 4, tor)
+        assert (placed, layout) == (4, {servers[0].node_id: 2, servers[1].node_id: 2})
 
     def test_zero_bandwidth_cluster_unconstrained(self, oktopus):
-        topology, ledger, placer = oktopus
-        tag = Tag("t")
-        tag.add_component("c", 8)
-        allocation = TenantAllocation(tag, ledger)
-        cluster = VocCluster("c", 8, 0.0, 0.0, 0.0)
-        server = topology.servers[0]
-        assert placer._max_feasible(allocation, cluster, server, 4) == 4
+        ledger, placer, tor, servers = oktopus
+        placed, layout = self._walk(placer, ledger, self._hose(8, 0.0), 4, tor)
+        assert (placed, layout) == (4, {servers[0].node_id: 4})
+
+    def test_equal_free_siblings_keep_child_order(self, oktopus):
+        ledger, placer, tor, servers = oktopus
+        self._fill(ledger, servers[0], 1)
+        # No server holds 6: fill by free slots, ties in child order.
+        placed, layout = self._walk(placer, ledger, self._hose(8, 0.0), 6, tor)
+        assert (placed, layout) == (6, {servers[1].node_id: 4, servers[2].node_id: 2})
+
+    def test_zero_bandwidth_cluster_goes_best_fit(self, oktopus):
+        ledger, placer, tor, servers = oktopus
+        self._fill(ledger, servers[1], 2)
+        self._fill(ledger, servers[2], 1)
+        self._fill(ledger, servers[3], 2)
+        # Smallest hole that holds 2: servers 1 and 3 tie, child order wins.
+        placed, layout = self._walk(placer, ledger, self._hose(8, 0.0), 2, tor)
+        assert (placed, layout) == (2, {servers[1].node_id: 2})
+
+    def test_best_fit_skips_hose_infeasible_holes(self, oktopus):
+        ledger, placer, tor, servers = oktopus
+        self._fill(ledger, servers[1], 1)
+        # 3 of 6 under one server cross 3*400 > 1000 Mbps wherever they
+        # land, so no server takes the whole remainder and the fill loop
+        # caps every server at 1000/400 = 2 VMs.
+        placed, layout = self._walk(placer, ledger, self._hose(6, 400.0), 3, tor)
+        assert (placed, layout) == (3, {servers[0].node_id: 2, servers[2].node_id: 1})
+
+    def test_fill_stops_at_first_full_sibling(self, oktopus):
+        ledger, placer, tor, servers = oktopus
+        for server in servers[2:]:
+            self._fill(ledger, server, 4)
+        allocation = TenantAllocation(self._hose(20, 100.0), ledger)
+        (cluster,) = _cluster_plan(allocation.tag)
+        examined = []
+        count_id = allocation.count_id
+
+        def spy(node_id, tier):
+            examined.append(node_id)
+            return count_id(node_id, tier)
+
+        allocation.count_id = spy
+        placed = placer._alloc_cluster(allocation, cluster, 10, tor.node_id, tor)
+        assert placed == 8
+        assert set(examined) == {servers[0].node_id, servers[1].node_id}
 
 
 class TestSecondNetPaths:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -194,3 +196,19 @@ class TestTraceArrivals:
             list(trace_arrivals([(0.0, 5, 1.0)], pool_size=3))
         with pytest.raises(SimulationError, match="out of range"):
             list(trace_arrivals([(0.0, -1, 1.0)]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_times(self, bad):
+        # NaN compares false both ways, so an order check alone lets
+        # (1.0, nan, 0.5) through as sorted.
+        events = [(1.0, 0, 1.0), (bad, 0, 1.0), (0.5, 0, 1.0)]
+        with pytest.raises(SimulationError, match="finite"):
+            list(trace_arrivals(events))
+
+    def test_rejects_nan_dwell(self):
+        with pytest.raises(SimulationError, match="dwell"):
+            list(trace_arrivals([(0.0, 0, math.nan)]))
+
+    def test_accepts_infinite_dwell(self):
+        (arrival,) = trace_arrivals([(0.0, 0, math.inf)])
+        assert arrival.dwell == math.inf

@@ -208,6 +208,30 @@ class TestServiceLoopValidation:
             ServiceLoop(ledger, placer, [])
 
 
+class _NonePlacer:
+    """A placer that breaks the protocol: it returns neither outcome."""
+
+    def place(self, tag):
+        return None
+
+
+class TestPlacerProtocolErrors:
+    PROTOCOL_ERROR = r"_NonePlacer\.place returned NoneType"
+
+    def test_service_loop_names_placer_and_result(self):
+        ledger = Ledger(three_level_tree(SPEC))
+        pool = _pool()
+        loop = ServiceLoop(ledger, _NonePlacer(), pool)
+        with pytest.raises(SimulationError, match=self.PROTOCOL_ERROR):
+            loop.run(_events(pool, count=10))
+
+    def test_cluster_manager_names_placer_and_result(self):
+        ledger = Ledger(three_level_tree(SPEC))
+        manager = ClusterManager(ledger, _NonePlacer())
+        with pytest.raises(SimulationError, match=self.PROTOCOL_ERROR):
+            manager.admit(_pool()[0])
+
+
 class TestLatencyHistogram:
     def test_quantiles_track_inserted_scale(self):
         histogram = LatencyHistogram()

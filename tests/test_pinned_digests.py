@@ -12,6 +12,12 @@ temporal facade), after asserting that each output equalled the live
 code's exactly.  Those copies are gone; these pins keep their parity
 checks in tier-1, under both kernel backends.
 
+The Oktopus churn digests (accept/reject sequence, ledger fingerprint,
+utilization and WCS samples of the Figs. 7-12 figure loop at paper
+scale) were generated at commit fc8f9a1, before the placer's VC walk
+was flattened into one pass per subtree, and pin that rewrite as
+decision-for-decision identical.
+
 The layers with a line-for-line reference also have randomized lockstep
 suites: ``ReferenceLedger`` in ``tests/topology/test_flat_equivalence.py``,
 ``ReferenceTemporalLedger`` in
@@ -35,13 +41,24 @@ from repro.enforcement.maxmin import FlowSpec, maxmin_rates
 from repro.placement.base import Placement
 from repro.placement.cloudmirror import CloudMirrorPlacer
 from repro.placement.oktopus import OktopusPlacer
+from repro.placement.ha import HaPolicy
 from repro.placement.secondnet import SecondNetPlacer
+from repro.simulation.arrivals import poisson_arrivals
+from repro.simulation.cluster import ClusterManager, run_arrival_departure
 from repro.simulation.service import ledger_fingerprint
 from repro.temporal.admission import TemporalCluster
 from repro.temporal.profile import TemporalTag, diurnal_profile
-from repro.topology.builder import DatacenterSpec, three_level_tree
+from repro.topology.builder import (
+    DatacenterSpec,
+    PodSpec,
+    RackSpec,
+    heterogeneous_tree,
+    three_level_tree,
+)
 from repro.topology.ledger import Ledger
+from repro.workloads.bing import bing_pool
 from repro.workloads.patterns import mapreduce, three_tier
+from repro.workloads.scaling import scale_pool
 
 
 def _digest(value) -> str:
@@ -202,3 +219,74 @@ def test_temporal_admission_stream(windows):
     outcomes = [cluster.admit(t) is not None for t in temporal_tenants(windows)]
     pinned = (outcomes, ledger_fingerprint(cluster.ledger))
     assert _digest(pinned) == TEMPORAL[windows]
+
+
+# ----------------------------------------------------------------------
+# Paper-scale Oktopus churn through the figure loop (Figs. 7-12)
+# ----------------------------------------------------------------------
+
+OVOC_CHURN = {
+    "plain": "10ad719e10ac41b056c1545e41f31bd549b2db8e7dfba9b8cce02f0fde6e3ff9",
+    "ha": "17ca67e97b0691767f8470cb4eec97eda161ef28ba93ec4d3fedcc17a73bb55d",
+    "hetero": "e5b38946f989b119b9e080dfcbf810d748538828d04a0bc9a9565b519d585b64",
+}
+CHURN_ARRIVALS = 1500
+
+
+def _churn_fabric(variant: str):
+    if variant != "hetero":
+        return three_level_tree(DatacenterSpec(pods=2))
+    # Uneven child counts at every switch level, and racks of differing
+    # slots and NICs, so sibling orderings break ties differently.
+    return heterogeneous_tree(
+        (
+            PodSpec(
+                racks=(
+                    RackSpec(servers=32),
+                    RackSpec(servers=20, slots_per_server=16),
+                    RackSpec(servers=27, server_uplink=4_000.0),
+                    RackSpec(servers=32),
+                    RackSpec(servers=9, slots_per_server=40),
+                )
+            ),
+            PodSpec(
+                racks=(RackSpec(servers=24),) * 7 + (RackSpec(servers=13),),
+                agg_oversub=4.0,
+            ),
+            PodSpec(racks=(RackSpec(servers=32, slots_per_server=12),) * 3),
+        )
+    )
+
+
+class _DecisionLog:
+    """A placer wrapper that records every accept / reject in order."""
+
+    def __init__(self, placer) -> None:
+        self.placer = placer
+        self.accepts: list[bool] = []
+
+    def place(self, tag):
+        result = self.placer.place(tag)
+        self.accepts.append(isinstance(result, Placement))
+        return result
+
+
+@pytest.mark.parametrize("variant", list(OVOC_CHURN))
+def test_ovoc_figure_loop_churn(variant):
+    """Bing pool at bmax 800, load 0.9, Poisson churn, seed 0."""
+    topology = _churn_fabric(variant)
+    pool = list(scale_pool(bing_pool(), 800.0))
+    arrivals = poisson_arrivals(
+        pool, CHURN_ARRIVALS, 0.9, topology.total_slots, seed=0
+    )
+    ha = HaPolicy(required_wcs=0.5, laa_level=0) if variant == "ha" else None
+    ledger = Ledger(topology)
+    log = _DecisionLog(OktopusPlacer(ledger, ha=ha))
+    metrics = run_arrival_departure(ClusterManager(ledger, log), arrivals, pool)
+    pinned = (
+        log.accepts,
+        ledger_fingerprint(ledger),
+        [(s.slot_fraction, s.bandwidth_fraction) for s in metrics.utilization],
+        metrics.wcs.values,
+    )
+    assert _digest(pinned) == OVOC_CHURN[variant]
